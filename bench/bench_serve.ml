@@ -70,7 +70,14 @@ let run_load ~server ~served_config ~clients ~connections ~ops ~pulls
    0.95, against a 1-worker and an n-worker server.  With lock-free
    read dispatch the n-worker server must not serve reads slower than
    the single worker (it used to: every read queued on the dispatch
-   lock). *)
+   lock).  The two configurations run on fresh servers in interleaved
+   rounds, alternating which goes first, and each keeps its best round,
+   as bench_par does: load from outside the bench (and the in-process
+   load generator sharing the cores with the server domains) hits both
+   alike, and the best round is the robust estimate when that noise
+   only ever slows a run down. *)
+let read_heavy_rounds = 4
+
 let run_read_heavy ~smoke ~clients ~connections ~workers =
   let ops = if smoke then 1_000 else 8_000 in
   let one (workers : int) =
@@ -96,8 +103,21 @@ let run_read_heavy ~smoke ~clients ~connections ~workers =
       "read-heavy: reads were not served on the lock-free path";
     (r, s)
   in
-  let single, _ = one 1 in
-  let multi, multi_stats = one workers in
+  let keep_best best (((r : Load_gen.result), _) as run) =
+    match best with
+    | Some ((b : Load_gen.result), _) when b.Load_gen.tps >= r.Load_gen.tps ->
+        best
+    | _ -> Some run
+  in
+  let single = ref None and multi = ref None in
+  let run_single () = single := keep_best !single (one 1) in
+  let run_multi () = multi := keep_best !multi (one workers) in
+  for round = 1 to read_heavy_rounds do
+    if round mod 2 = 1 then (run_single (); run_multi ())
+    else (run_multi (); run_single ())
+  done;
+  let single, _ = Option.get !single in
+  let multi, multi_stats = Option.get !multi in
   (ops, single, multi, multi_stats)
 
 let run ?(smoke = false) ?json () =

@@ -50,25 +50,27 @@ let () =
   in
   Printf.printf "ledger commitment %s at size %d\n" (Hash.short_hex commitment) size;
 
-  (* 3. existence: fetch a proof and verify it locally against the
-     receipt's tx-hash (which the client already holds) *)
+  (* 3. existence: fetch a proof bundle and verify it locally against the
+     receipt's tx-hash (which the client already holds); the bundled
+     commitment must be the trust root kept in step 2 *)
   let r3 = List.nth receipts 3 in
-  (match parse (send (Service.Client.make_get_proof ~jsn:r3.Receipt.jsn)) with
-  | Some (Service.Proof_r proof) ->
+  (match parse (send (Service.Client.make_get_proof_bundle ~jsn:r3.Receipt.jsn)) with
+  | Some (Service.Proof_bundle_r { proof; commitment = c; _ }) ->
       Printf.printf "existence of jsn %d verified locally: %b\n" r3.Receipt.jsn
-        (Fam.verify ~commitment ~leaf:r3.Receipt.tx_hash proof)
+        (Hash.equal c commitment
+        && Fam.verify ~commitment ~leaf:r3.Receipt.tx_hash proof)
   | _ -> failwith "no proof");
 
-  (* 4. lineage: the whole clue, one batch proof *)
-  (match parse (send (Service.Client.make_get_clue_proof ~clue:"contract-7" ())) with
-  | Some (Service.Clue_proof_r (Some proof)) ->
+  (* 4. lineage: the whole clue, one batch proof, checked against the
+     CM-Tree root shipped in the same bundle *)
+  (match parse (send (Service.Client.make_get_clue_bundle ~clue:"contract-7" ())) with
+  | Some (Service.Clue_bundle_r { proof = Some proof; clue_root }) ->
       (* the client recomputes entry digests from its receipts *)
       let known =
         List.mapi (fun v (r : Receipt.t) -> (v, r.Receipt.tx_hash)) receipts
       in
       Printf.printf "clue lineage verified locally: %b\n"
-        (Cm_tree.verify_clue ~root:(Cm_tree.root_hash (Ledger.cm_tree ledger))
-           ~known proof)
+        (Cm_tree.verify_clue ~root:clue_root ~known proof)
   | _ -> failwith "no clue proof");
 
   (* 5. come back later: check the ledger only appended since our visit *)

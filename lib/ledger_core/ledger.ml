@@ -449,34 +449,38 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
   Trace.exit sp;
   slots
 
-let make_receipt t s =
+(* The receipt for slot [s] over the blocks sealed so far (newest
+   first), shared by the live ledger and {!Read_view}. *)
+let build_receipt ~sign ~blocks ~timestamp s =
   Metrics.incr "ledger_receipts_issued_total";
+  let jsn = s.journal.Journal.jsn in
   let block_hash =
     (* final only when the journal's block is sealed *)
-    let rec find = function
-      | [] -> Hash.zero
-      | (b : Block.t) :: rest ->
-          if
-            s.journal.Journal.jsn >= b.Block.start_jsn
-            && s.journal.Journal.jsn < b.Block.start_jsn + b.Block.count
-          then Block.hash b
-          else find rest
-    in
-    find t.blocks
+    match
+      List.find_opt
+        (fun (b : Block.t) ->
+          jsn >= b.Block.start_jsn && jsn < b.Block.start_jsn + b.Block.count)
+        blocks
+    with
+    | Some b -> Block.hash b
+    | None -> Hash.zero
   in
-  let timestamp = Clock.now t.clock in
   let digest =
-    Receipt.signing_digest ~jsn:s.journal.Journal.jsn
-      ~request_hash:s.request_hash ~tx_hash:s.tx ~block_hash ~timestamp
+    Receipt.signing_digest ~jsn ~request_hash:s.request_hash ~tx_hash:s.tx
+      ~block_hash ~timestamp
   in
   {
-    Receipt.jsn = s.journal.Journal.jsn;
+    Receipt.jsn;
     request_hash = s.request_hash;
     tx_hash = s.tx;
     block_hash;
     timestamp;
-    lsp_sig = sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub digest;
+    lsp_sig = sign digest;
   }
+
+let make_receipt t s =
+  build_receipt s ~blocks:t.blocks ~timestamp:(Clock.now t.clock)
+    ~sign:(sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub)
 
 let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
   (match Roles.find t.registry member.Roles.id with
@@ -710,8 +714,9 @@ let verify_receipt t (r : Receipt.t) =
 
 let commitment t = Fam.commitment t.fam
 
-let get_proof t jsn =
-  let p = Fam.prove t.fam jsn in
+(* The fam prover behind both {!get_proof} and {!Read_view.get_proof}. *)
+let prove_instrumented fam jsn =
+  let p = Fam.prove fam jsn in
   (* encoding the proof to count bytes is itself work, so only do it when
      a sink is recording *)
   if Obs.enabled () then begin
@@ -721,6 +726,8 @@ let get_proof t jsn =
     Metrics.observe_int "ledger_proof_bytes" (Bytes.length (Wire.contents w))
   end;
   p
+
+let get_proof t jsn = prove_instrumented t.fam jsn
 
 let verify_existence t ~jsn ~payload_digest proof =
   let sp = Trace.enter "verify.existence" in
@@ -1262,11 +1269,11 @@ end
 
 (* --- read snapshots --------------------------------------------------------- *)
 
-(* Accessors over a published view.  Each mirrors the corresponding
-   [Ledger] read accessor byte-for-byte (locked down by the differential
-   gate in test_read_view), except that payload reads go through the
-   stream pin (never the writer's latency clock) and receipts are signed
-   with the pure profile against the pinned publication time. *)
+(* Accessors over a published view: the read side of the service layer.
+   They share the prover and the receipt builder with the live accessors
+   above; payload reads go through the stream pin (never the writer's
+   latency clock) and receipts are signed with the pure profile against
+   the pinned publication time. *)
 module Read_view = struct
   type nonrec t = view
 
@@ -1300,15 +1307,7 @@ module Read_view = struct
 
   let commitment v = Fam.commitment v.v_fam
 
-  let get_proof v jsn =
-    let p = Fam.prove v.v_fam jsn in
-    if Obs.enabled () then begin
-      Metrics.incr "ledger_proofs_served_total";
-      let w = Wire.writer () in
-      Proof_codec.w_fam_proof w p;
-      Metrics.observe_int "ledger_proof_bytes" (Bytes.length (Wire.contents w))
-    end;
-    p
+  let get_proof v jsn = prove_instrumented v.v_fam jsn
 
   let prove_extension v ~old_size = Fam.prove_extension v.v_fam ~old_size
   let cm_tree v = v.v_cm
@@ -1321,35 +1320,10 @@ module Read_view = struct
   let query_root v = Query_index.root v.v_query
 
   let receipt v jsn =
-    Metrics.incr "ledger_receipts_issued_total";
-    let s = slot v jsn in
-    let block_hash =
-      let rec find = function
-        | [] -> Hash.zero
-        | (b : Block.t) :: rest ->
-            if
-              s.journal.Journal.jsn >= b.Block.start_jsn
-              && s.journal.Journal.jsn < b.Block.start_jsn + b.Block.count
-            then Block.hash b
-            else find rest
-      in
-      find v.v_blocks
-    in
-    let timestamp = v.v_now in
-    let digest =
-      Receipt.signing_digest ~jsn:s.journal.Journal.jsn
-        ~request_hash:s.request_hash ~tx_hash:s.tx ~block_hash ~timestamp
-    in
-    {
-      Receipt.jsn = s.journal.Journal.jsn;
-      request_hash = s.request_hash;
-      tx_hash = s.tx;
-      block_hash;
-      timestamp;
-      lsp_sig =
-        Crypto_profile.sign_pure v.v_crypto ~priv:v.v_lsp_priv
-          ~pub:v.v_lsp_pub digest;
-    }
+    build_receipt (slot v jsn) ~blocks:v.v_blocks ~timestamp:v.v_now
+      ~sign:
+        (Crypto_profile.sign_pure v.v_crypto ~priv:v.v_lsp_priv
+           ~pub:v.v_lsp_pub)
 end
 
 let view_epoch t = (read_view t).v_epoch

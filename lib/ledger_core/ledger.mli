@@ -70,9 +70,12 @@ val new_member :
     Unsafe forgeries, and load — republishes an immutable {!Read_view.t}
     with a single [Atomic.set].  Any domain can grab the current view
     with {!read_view} (a single [Atomic.get], no lock) and serve proofs,
-    payloads, receipts and range-query pages against it; the view's
-    accessors mirror the corresponding [Ledger] reads byte-for-byte
-    (DESIGN.md §17).  Purge/occult erasures remain visible through
+    payloads, receipts and range-query pages against it.  The view is
+    the only read implementation of the service layer: every read that
+    {!Service} answers, locked entry point or not, comes from here
+    (DESIGN.md §17).  The other [Ledger] accessors stay on live state
+    for audits and verifiers, and share their prover and receipt builder
+    with the view.  Purge/occult erasures remain visible through
     already-captured views: snapshots never resurrect erased payloads. *)
 
 module Read_view : sig

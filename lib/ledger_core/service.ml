@@ -17,9 +17,7 @@ type request =
       entries : (bytes * string list * int64 * int * Ecdsa.signature) list;
     }
   | Get_payload of { jsn : int }
-  | Get_proof of { jsn : int }
   | Get_receipt of { jsn : int }
-  | Get_clue_proof of { clue : string; first : int option; last : int option }
   | Get_commitment
   | Get_extension of { old_size : int }
   | Get_journal of { jsn : int }
@@ -42,8 +40,6 @@ type response =
   | Receipt_r of Receipt.t
   | Receipts_r of Receipt.t list
   | Payload_r of bytes option
-  | Proof_r of Fam.proof
-  | Clue_proof_r of Cm_tree.clue_proof option
   | Commitment_r of { commitment : Hash.t; size : int }
   | Extension_r of Fam.extension_proof
   | Journal_r of { tx : Hash.t; encoded : bytes }
@@ -98,17 +94,9 @@ let encode_request req =
   | Get_payload { jsn } ->
       Wire.w_u8 w 1;
       Wire.w_int w jsn
-  | Get_proof { jsn } ->
-      Wire.w_u8 w 2;
-      Wire.w_int w jsn
   | Get_receipt { jsn } ->
       Wire.w_u8 w 3;
       Wire.w_int w jsn
-  | Get_clue_proof { clue; first; last } ->
-      Wire.w_u8 w 4;
-      Wire.w_string w clue;
-      Wire.w_option w (Wire.w_int w) first;
-      Wire.w_option w (Wire.w_int w) last
   | Get_commitment -> Wire.w_u8 w 5
   | Get_extension { old_size } ->
       Wire.w_u8 w 6;
@@ -161,13 +149,7 @@ let decode_request data =
           let signature = r_sig r in
           Append { member_id; payload; clues; client_ts; nonce; signature }
       | 1 -> Get_payload { jsn = Wire.r_int r }
-      | 2 -> Get_proof { jsn = Wire.r_int r }
       | 3 -> Get_receipt { jsn = Wire.r_int r }
-      | 4 ->
-          let clue = Wire.r_string r in
-          let first = Wire.r_option r (fun () -> Wire.r_int r) in
-          let last = Wire.r_option r (fun () -> Wire.r_int r) in
-          Get_clue_proof { clue; first; last }
       | 5 -> Get_commitment
       | 6 -> Get_extension { old_size = Wire.r_int r }
       | 7 -> Get_journal { jsn = Wire.r_int r }
@@ -199,6 +181,8 @@ let decode_request data =
                 (payload, clues, client_ts, nonce, signature))
           in
           Append_batch { member_id; entries }
+      (* tags 2 and 4 (the unbundled proof requests) are retired: they
+         decode as malformed and are never reused *)
       | _ -> raise Wire.Corrupt)
 
 let w_receipt w (r : Receipt.t) =
@@ -227,12 +211,6 @@ let encode_response resp =
   | Payload_r payload ->
       Wire.w_u8 w 1;
       Wire.w_option w (Wire.w_bytes w) payload
-  | Proof_r proof ->
-      Wire.w_u8 w 2;
-      Proof_codec.w_fam_proof w proof
-  | Clue_proof_r proof ->
-      Wire.w_u8 w 3;
-      Wire.w_option w (Cm_tree.w_clue_proof w) proof
   | Commitment_r { commitment; size } ->
       Wire.w_u8 w 4;
       Wire.w_hash w commitment;
@@ -306,8 +284,6 @@ let decode_response data =
       match Wire.r_u8 r with
       | 0 -> Receipt_r (r_receipt r)
       | 1 -> Payload_r (Wire.r_option r (fun () -> Wire.r_bytes r))
-      | 2 -> Proof_r (Proof_codec.r_fam_proof r)
-      | 3 -> Clue_proof_r (Wire.r_option r (fun () -> Cm_tree.r_clue_proof r))
       | 4 ->
           let commitment = Wire.r_hash r in
           let size = Wire.r_int r in
@@ -378,9 +354,7 @@ let request_kind = function
   | Append _ -> "append"
   | Append_batch _ -> "append_batch"
   | Get_payload _ -> "get_payload"
-  | Get_proof _ -> "get_proof"
   | Get_receipt _ -> "get_receipt"
-  | Get_clue_proof _ -> "get_clue_proof"
   | Get_commitment -> "get_commitment"
   | Get_extension _ -> "get_extension"
   | Get_journal _ -> "get_journal"
@@ -391,155 +365,30 @@ let request_kind = function
   | Get_clue_bundle _ -> "get_clue_bundle"
   | Query_page _ -> "query_page"
 
-let dispatch ledger = function
-  | Append { member_id; payload; clues; client_ts; nonce; signature } -> (
-      match
-        Ledger.append_signed ledger ~member_id ~payload ~clues ~client_ts
-          ~nonce ~signature
-      with
-      | Ok receipt -> Receipt_r receipt
-      | Error msg -> Error_r msg)
-  | Append_batch { member_id; entries } -> (
-      match Ledger.append_signed_batch ledger ~member_id entries with
-      | Ok receipts -> Receipts_r receipts
-      | Error msg -> Error_r msg)
-  | Get_payload { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else Payload_r (Ledger.payload ledger jsn)
-  | Get_proof { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else Proof_r (Ledger.get_proof ledger jsn)
-  | Get_receipt { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else Receipt_r (Ledger.get_receipt ledger jsn)
-  | Get_clue_proof { clue; first; last } ->
-      Clue_proof_r (Ledger.prove_clue ledger ~clue ?first ?last ())
-  | Get_commitment ->
-      if Ledger.size ledger = 0 then Error_r "empty ledger"
-      else
-        Commitment_r
-          { commitment = Ledger.commitment ledger; size = Ledger.size ledger }
-  | Get_extension { old_size } ->
-      if old_size <= 0 || old_size > Ledger.size ledger then
-        Error_r "old_size out of range"
-      else Extension_r (Ledger.prove_extension ledger ~old_size)
-  | Get_journal { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else begin
-        let j = Ledger.journal ledger jsn in
-        (* the shipped payload reflects erasures *)
-        let payload =
-          match Ledger.payload ledger jsn with Some p -> p | None -> Bytes.empty
-        in
-        let j = { j with Journal.payload } in
-        Journal_r
-          { tx = Ledger.tx_hash_of ledger jsn; encoded = Journal_codec.encode j }
-      end
-  | Get_block { height } ->
-      if height < 0 || height >= Ledger.block_count ledger then
-        Error_r "block out of range"
-      else Block_r (Ledger.block ledger height)
-  | Get_members ->
-      (* the registry is a hash table, so sort by name for a deterministic
-         wire response *)
-      Members_r
-        (Roles.members (Ledger.registry ledger)
-        |> List.sort (fun (a : Roles.member) (b : Roles.member) ->
-               String.compare a.Roles.name b.Roles.name)
-        |> List.map (fun (m : Roles.member) ->
-               ( m.Roles.name,
-                 Roles.role_to_string m.Roles.role,
-                 Ecdsa.public_key_to_bytes m.Roles.pub )))
-  | Get_proof_bundle { jsn } ->
-      if jsn < 0 || jsn >= Ledger.size ledger then Error_r "jsn out of range"
-      else
-        (* one dispatch = one snapshot: the proof and the root it hashes
-           to cannot straddle a concurrent append *)
-        Proof_bundle_r
-          {
-            proof = Ledger.get_proof ledger jsn;
-            commitment = Ledger.commitment ledger;
-            size = Ledger.size ledger;
-          }
-  | Get_clue_bundle { clue; first; last } ->
-      Clue_bundle_r
-        {
-          proof = Ledger.prove_clue ledger ~clue ?first ?last ();
-          clue_root = Cm_tree.root_hash (Ledger.cm_tree ledger);
-        }
-  | Query_page { spec; window; after; page_size; pin } ->
-      if page_size <= 0 || page_size > 65536 then Error_r "bad page_size"
-      else begin
-        (* page + root under one dispatch, same snapshot contract as
-           Get_proof_bundle.  Under the writer lock the published epoch
-           is stable, so the pin check here agrees byte-for-byte with
-           the lock-free path. *)
-        let epoch = Ledger.view_epoch ledger in
-        match pin with
-        | Some e when e <> epoch -> Stale_r { pinned = e; current = epoch }
-        | Some _ | None ->
-            Query_page_r
-              {
-                page =
-                  Range_query.page (Ledger.query_index ledger) ~spec ?window
-                    ?after ~page_size ();
-                query_root = Ledger.query_root ledger;
-                commitment =
-                  (if Ledger.size ledger = 0 then Hash.zero
-                   else Ledger.commitment ledger);
-                size = Ledger.size ledger;
-                epoch;
-              }
-      end
-  | Get_checkpoint ->
-      Checkpoint_r
-        {
-          name = (Ledger.config ledger).Ledger.name;
-          size = Ledger.size ledger;
-          block_count = Ledger.block_count ledger;
-          commitment =
-            (if Ledger.size ledger = 0 then Hash.zero
-             else Ledger.commitment ledger);
-          clue_root = Cm_tree.root_hash (Ledger.cm_tree ledger);
-          nonce = Ledger.size ledger;
-          pseudo_genesis =
-            Option.map
-              (fun (j : Journal.t) -> j.Journal.jsn)
-              (Ledger.pseudo_genesis ledger);
-        }
-
-(* --- read/mutate split (lock-free read path) -------------------------------- *)
-
 let classify = function
   | Append _ | Append_batch _ -> `Mutate
-  | Get_payload _ | Get_proof _ | Get_receipt _ | Get_clue_proof _
-  | Get_commitment | Get_extension _ | Get_journal _ | Get_block _
-  | Get_members | Get_checkpoint | Get_proof_bundle _ | Get_clue_bundle _
-  | Query_page _ ->
+  | Get_payload _ | Get_receipt _ | Get_commitment | Get_extension _
+  | Get_journal _ | Get_block _ | Get_members | Get_checkpoint
+  | Get_proof_bundle _ | Get_clue_bundle _ | Query_page _ ->
       `Read
 
 module RV = Ledger.Read_view
 
-(* Mirror of every read arm of {!dispatch}, served from an immutable
-   snapshot.  Guard conditions and error strings must stay byte-identical
-   to the locked path — the differential gate in the test suite compares
-   encoded responses from both. *)
+(* Every read arm, served from one immutable published snapshot.  This
+   is the only read implementation: {!handle} and {!handle_view} both
+   answer reads here, so the locked and lock-free entry points agree by
+   construction. *)
 let dispatch_view v = function
   | Append _ | Append_batch _ ->
-      (* mutations are routed through {!dispatch} by {!classify}; reaching
-         here is a dispatcher bug, not a client error *)
+      (* {!handle_view} refuses mutations and {!dispatch} serves them;
+         reaching here is a dispatcher bug, not a client error *)
       assert false
   | Get_payload { jsn } ->
       if jsn < 0 || jsn >= RV.size v then Error_r "jsn out of range"
       else Payload_r (RV.payload v jsn)
-  | Get_proof { jsn } ->
-      if jsn < 0 || jsn >= RV.size v then Error_r "jsn out of range"
-      else Proof_r (RV.get_proof v jsn)
   | Get_receipt { jsn } ->
       if jsn < 0 || jsn >= RV.size v then Error_r "jsn out of range"
       else Receipt_r (RV.receipt v jsn)
-  | Get_clue_proof { clue; first; last } ->
-      Clue_proof_r (RV.prove_clue v ~clue ?first ?last ())
   | Get_commitment ->
       if RV.size v = 0 then Error_r "empty ledger"
       else Commitment_r { commitment = RV.commitment v; size = RV.size v }
@@ -569,6 +418,8 @@ let dispatch_view v = function
   | Get_proof_bundle { jsn } ->
       if jsn < 0 || jsn >= RV.size v then Error_r "jsn out of range"
       else
+        (* one snapshot: the proof and the root it hashes to cannot
+           straddle a concurrent append *)
         Proof_bundle_r
           {
             proof = RV.get_proof v jsn;
@@ -613,6 +464,22 @@ let dispatch_view v = function
           pseudo_genesis = RV.pseudo_genesis_jsn v;
         }
 
+(* Mutations run on the live ledger under the caller's write
+   serialization; reads are answered from the current published view. *)
+let dispatch ledger = function
+  | Append { member_id; payload; clues; client_ts; nonce; signature } -> (
+      match
+        Ledger.append_signed ledger ~member_id ~payload ~clues ~client_ts
+          ~nonce ~signature
+      with
+      | Ok receipt -> Receipt_r receipt
+      | Error msg -> Error_r msg)
+  | Append_batch { member_id; entries } -> (
+      match Ledger.append_signed_batch ledger ~member_id entries with
+      | Ok receipts -> Receipts_r receipts
+      | Error msg -> Error_r msg)
+  | read -> dispatch_view (Ledger.read_view ledger) read
+
 let response_of_exn = function
   | Invalid_argument msg | Failure msg -> Error_r msg
   | Not_found -> Error_r "not found"
@@ -620,15 +487,17 @@ let response_of_exn = function
       Error_r (Ledger_storage.Stream_store.read_error_to_string e)
   | e -> raise e
 
-let handle ledger data =
+(* The one wrapper around every served frame: request and error
+   counters, the trace span, and exception-to-[Error_r] mapping. *)
+let serve run req =
   let sp = Ledger_obs.Trace.enter "service.handle" in
   Ledger_obs.Metrics.incr "service_requests_total";
   let resp =
-    match decode_request data with
+    match req with
     | None -> Error_r "malformed request"
     | Some req ->
         Ledger_obs.Trace.attr sp "kind" (request_kind req);
-        (try dispatch ledger req with e -> response_of_exn e)
+        (try run req with e -> response_of_exn e)
   in
   (match resp with
   | Error_r _ -> Ledger_obs.Metrics.incr "service_errors_total"
@@ -636,27 +505,12 @@ let handle ledger data =
   Ledger_obs.Trace.exit sp;
   encode_response resp
 
+let handle ledger data = serve (dispatch ledger) (decode_request data)
+
 let handle_view v data =
   match decode_request data with
-  | None ->
-      (* malformed frames carry no mutation; answer them lock-free with
-         the same counters the locked path would bump *)
-      Ledger_obs.Metrics.incr "service_requests_total";
-      Ledger_obs.Metrics.incr "service_errors_total";
-      Some (encode_response (Error_r "malformed request"))
-  | Some req -> (
-      match classify req with
-      | `Mutate -> None
-      | `Read ->
-          let sp = Ledger_obs.Trace.enter "service.handle" in
-          Ledger_obs.Metrics.incr "service_requests_total";
-          Ledger_obs.Trace.attr sp "kind" (request_kind req);
-          let resp = try dispatch_view v req with e -> response_of_exn e in
-          (match resp with
-          | Error_r _ -> Ledger_obs.Metrics.incr "service_errors_total"
-          | _ -> ());
-          Ledger_obs.Trace.exit sp;
-          Some (encode_response resp))
+  | Some req when classify req = `Mutate -> None
+  | req -> Some (serve (dispatch_view v) req)
 
 let handle_read ledger data = handle_view (Ledger.read_view ledger) data
 
@@ -730,12 +584,8 @@ module Client = struct
     | Some n when List.length t.buffer >= n -> flush t
     | Some _ | None -> None
 
-  let make_get_proof ~jsn = encode_request (Get_proof { jsn })
   let make_get_payload ~jsn = encode_request (Get_payload { jsn })
   let make_get_receipt ~jsn = encode_request (Get_receipt { jsn })
-
-  let make_get_clue_proof ~clue ?first ?last () =
-    encode_request (Get_clue_proof { clue; first; last })
 
   let make_get_commitment () = encode_request Get_commitment
   let make_get_extension ~old_size = encode_request (Get_extension { old_size })

@@ -26,9 +26,7 @@ type request =
           (** (payload, clues, client_ts, nonce, signature) per entry *)
     }
   | Get_payload of { jsn : int }
-  | Get_proof of { jsn : int }
   | Get_receipt of { jsn : int }
-  | Get_clue_proof of { clue : string; first : int option; last : int option }
   | Get_commitment
   | Get_extension of { old_size : int }
   | Get_journal of { jsn : int }
@@ -41,7 +39,9 @@ type request =
           verifying while other clients append never races the root *)
   | Get_clue_bundle of { clue : string; first : int option; last : int option }
       (** clue lineage proof with the CM-Tree root it hashes to, same
-          atomic-snapshot contract as {!request.Get_proof_bundle} *)
+          atomic-snapshot contract as {!request.Get_proof_bundle}.  These
+          two bundles are the only proof requests: the unbundled wire
+          tags 2 and 4 are retired and decode as malformed *)
   | Query_page of {
       spec : Ledger_query.Range_query.spec;
       window : Ledger_query.Range_query.window option;
@@ -62,8 +62,6 @@ type response =
   | Receipts_r of Receipt.t list
       (** one receipt per {!Append_batch} entry, in submission order *)
   | Payload_r of bytes option
-  | Proof_r of Fam.proof
-  | Clue_proof_r of Cm_tree.clue_proof option
   | Commitment_r of { commitment : Hash.t; size : int }
   | Extension_r of Fam.extension_proof
   | Journal_r of { tx : Hash.t; encoded : bytes }
@@ -114,15 +112,20 @@ val w_receipt : Wire.writer -> Receipt.t -> unit
 val r_receipt : Wire.reader -> Receipt.t
 
 val handle : Ledger.t -> bytes -> bytes
-(** The server: malformed input or failed dispatch yields an encoded
-    {!Error_r}; this function never raises. *)
+(** The server: mutations run against the live ledger (the caller
+    serializes them); every read is answered from the current published
+    {!Ledger.Read_view.t}, so reads here never advance the ledger's
+    simulated clock and a {!response.Receipt_r} re-sign carries the
+    view's publication time.  Malformed input or failed dispatch yields
+    an encoded {!Error_r}; this function never raises. *)
 
 (** {1 Lock-free read path}
 
     Every request is either a {e read} (answerable from an immutable
     {!Ledger.Read_view.t} without any lock) or a {e mutation} (must be
     serialized by the caller).  {!handle_read} is the read-only half of
-    {!handle}: byte-identical responses for reads, [None] for mutations. *)
+    {!handle}: both answer reads with the same snapshot dispatcher, and
+    {!handle_read} returns [None] for mutations. *)
 
 val classify : request -> [ `Read | `Mutate ]
 (** [`Mutate] for {!request.Append}/{!request.Append_batch}, [`Read]
@@ -184,10 +187,8 @@ module Client : sig
   val pending : t -> int
   (** Entries currently buffered. *)
 
-  val make_get_proof : jsn:int -> bytes
   val make_get_payload : jsn:int -> bytes
   val make_get_receipt : jsn:int -> bytes
-  val make_get_clue_proof : clue:string -> ?first:int -> ?last:int -> unit -> bytes
   val make_get_commitment : unit -> bytes
   val make_get_extension : old_size:int -> bytes
   val make_get_journal : jsn:int -> bytes

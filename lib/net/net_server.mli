@@ -56,8 +56,10 @@ val create : ?config:config -> ?read:(bytes -> bytes option) -> (bytes -> bytes)
     [Some resp] answers the request; [None] routes it to the locked
     backend.  Pass {!Ledger_core.Service.handle_read} (or the sharded
     equivalent) partially applied to the same state as the backend —
-    it must be domain-safe and never raise.  Omitting [read] restores
-    fully serialized dispatch.
+    it must be domain-safe and never raise.  Omitting [read] serializes
+    reads behind the lock as well; the backend answers them with the
+    same snapshot dispatcher, so only the locking changes, not the
+    response bytes.
     @raise Unix.Unix_error when the address cannot be bound. *)
 
 val port : t -> int

@@ -74,11 +74,13 @@ let config t = t.cfg
 let router t = t.router
 let shard_count t = t.cfg.shards
 
-let member_state t i =
-  if i < 0 || i >= Array.length t.members then
+let check_shard i n =
+  if i < 0 || i >= n then
     invalid_arg
-      (Printf.sprintf "Sharded_ledger: shard %d out of range [0,%d)" i
-         (Array.length t.members));
+      (Printf.sprintf "Sharded_ledger: shard %d out of range [0,%d)" i n)
+
+let member_state t i =
+  check_shard i (Array.length t.members);
   t.members.(i)
 
 let shard t i = (member_state t i).ledger
@@ -254,14 +256,15 @@ let seal_epoch ?(pool = Domain_pool.default ()) ?(policy = All_or_nothing)
   Trace.exit sp;
   result
 
-let epochs t = List.rev (fst (Atomic.get t.sealed))
+let newest = function [] -> None | s :: _ -> Some s
 
-let latest t =
-  match fst (Atomic.get t.sealed) with [] -> None | s :: _ -> Some s
-
-let epoch t e =
+let find_epoch sealed_rev e =
   List.find_opt (fun (s : Super_root.sealed) -> s.Super_root.epoch = e)
-    (fst (Atomic.get t.sealed))
+    sealed_rev
+
+let epochs t = List.rev (fst (Atomic.get t.sealed))
+let latest t = newest (fst (Atomic.get t.sealed))
+let epoch t e = find_epoch (fst (Atomic.get t.sealed)) e
 
 let super_digest t = Option.map Super_root.commitment (latest t)
 
@@ -271,6 +274,33 @@ let anchor_epoch t pool =
   | Some sealed ->
       Ledger_timenotary.Tsa.pool_endorse pool (Super_root.commitment sealed)
 
+(* --- fleet read view (lock-free read path) ---------------------------------- *)
+
+module RV = Ledger.Read_view
+
+type fleet_view = {
+  fv_name : string;
+  fv_shards : RV.t array;
+      (* each shard's currently-published snapshot; shard views advance
+         independently between epoch seals — cross-shard atomicity is
+         exactly what [fv_sealed_rev] provides *)
+  fv_sealed_rev : Super_root.sealed list; (* newest first *)
+  fv_sealed_count : int;
+}
+
+let fleet_view t =
+  let fv_sealed_rev, fv_sealed_count = Atomic.get t.sealed in
+  {
+    fv_name = t.cfg.base.Ledger.name;
+    fv_shards = Array.map (fun m -> Ledger.read_view m.ledger) t.members;
+    fv_sealed_rev;
+    fv_sealed_count;
+  }
+
+let view_shard_count fv = Array.length fv.fv_shards
+let view_latest fv = newest fv.fv_sealed_rev
+let view_epoch_sealed fv e = find_epoch fv.fv_sealed_rev e
+
 (* --- signed epoch announcements (non-equivocation gossip) ------------------ *)
 
 let announce_sealed t (sealed : Super_root.sealed) =
@@ -279,8 +309,13 @@ let announce_sealed t (sealed : Super_root.sealed) =
     ~super:(Super_root.commitment sealed)
     ~sealed_at:sealed.Super_root.sealed_at
 
-let announce t = Option.map (announce_sealed t) (latest t)
-let announce_epoch t e = Option.map (announce_sealed t) (epoch t e)
+let announce_view t fv = Option.map (announce_sealed t) (view_latest fv)
+
+let announce_epoch_view t fv e =
+  Option.map (announce_sealed t) (view_epoch_sealed fv e)
+
+let announce t = announce_view t (fleet_view t)
+let announce_epoch t e = announce_epoch_view t (fleet_view t) e
 
 module Unsafe = struct
   (* An equivocating service: mint a second validly signed announcement
@@ -312,27 +347,30 @@ type sharded_proof = {
   inclusion : Super_root.inclusion;
 }
 
-let prove t ~shard:i ~jsn =
-  let m = member_state t i in
-  match latest t with
+let prove_view fv ~shard:i ~jsn =
+  check_shard i (view_shard_count fv);
+  let v = fv.fv_shards.(i) in
+  match view_latest fv with
   | None -> Error "no sealed epoch: seal_epoch before proving"
   | Some sealed ->
-      if not (Hash.equal (Ledger.commitment m.ledger) sealed.Super_root.shard_roots.(i))
+      if not (Hash.equal (RV.commitment v) sealed.Super_root.shard_roots.(i))
       then
         Error
           (Printf.sprintf
              "shard %d has committed past epoch %d's sealed root; reseal" i
              sealed.Super_root.epoch)
-      else if jsn < 0 || jsn >= Ledger.size m.ledger then
+      else if jsn < 0 || jsn >= RV.size v then
         Error (Printf.sprintf "jsn %d out of range on shard %d" jsn i)
       else
         Ok
           {
             shard = i;
             jsn;
-            fam = Ledger.get_proof m.ledger jsn;
+            fam = RV.get_proof v jsn;
             inclusion = Super_root.prove sealed ~shard:i;
           }
+
+let prove t ~shard ~jsn = prove_view (fleet_view t) ~shard ~jsn
 
 let verify_proof t ~super ?payload_digest proof =
   proof.inclusion.Super_root.shard = proof.shard
@@ -371,64 +409,3 @@ let encode_sharded_proof p =
   Wire.contents w
 
 let decode_sharded_proof b = Wire.decode b r_sharded_proof
-
-(* --- fleet read view (lock-free read path) ---------------------------------- *)
-
-module RV = Ledger.Read_view
-
-type fleet_view = {
-  fv_name : string;
-  fv_shards : RV.t array;
-      (* each shard's currently-published snapshot; shard views advance
-         independently between epoch seals — cross-shard atomicity is
-         exactly what [fv_sealed_rev] provides *)
-  fv_sealed_rev : Super_root.sealed list; (* newest first *)
-  fv_sealed_count : int;
-}
-
-let fleet_view t =
-  let fv_sealed_rev, fv_sealed_count = Atomic.get t.sealed in
-  {
-    fv_name = t.cfg.base.Ledger.name;
-    fv_shards = Array.map (fun m -> Ledger.read_view m.ledger) t.members;
-    fv_sealed_rev;
-    fv_sealed_count;
-  }
-
-let view_shard_count fv = Array.length fv.fv_shards
-
-let view_latest fv =
-  match fv.fv_sealed_rev with [] -> None | s :: _ -> Some s
-
-let view_epoch_sealed fv e =
-  List.find_opt (fun (s : Super_root.sealed) -> s.Super_root.epoch = e)
-    fv.fv_sealed_rev
-
-let announce_view t fv = Option.map (announce_sealed t) (view_latest fv)
-
-let announce_epoch_view t fv e =
-  Option.map (announce_sealed t) (view_epoch_sealed fv e)
-
-(* Mirror of {!prove} against the view; error strings must match the
-   live path for the differential gate. *)
-let prove_view fv ~shard:i ~jsn =
-  let v = fv.fv_shards.(i) in
-  match view_latest fv with
-  | None -> Error "no sealed epoch: seal_epoch before proving"
-  | Some sealed ->
-      if not (Hash.equal (RV.commitment v) sealed.Super_root.shard_roots.(i))
-      then
-        Error
-          (Printf.sprintf
-             "shard %d has committed past epoch %d's sealed root; reseal" i
-             sealed.Super_root.epoch)
-      else if jsn < 0 || jsn >= RV.size v then
-        Error (Printf.sprintf "jsn %d out of range on shard %d" jsn i)
-      else
-        Ok
-          {
-            shard = i;
-            jsn;
-            fam = RV.get_proof v jsn;
-            inclusion = Super_root.prove sealed ~shard:i;
-          }

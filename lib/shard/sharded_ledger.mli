@@ -163,10 +163,12 @@ val anchor_epoch : t -> Ledger_timenotary.Tsa.pool -> Ledger_timenotary.Tsa.toke
 
 val announce : t -> Gossip.announcement option
 (** The service-signed announcement of the latest sealed epoch — what
-    the service publishes to gossip peers.  [None] before any seal. *)
+    the service publishes to gossip peers.  [None] before any seal.
+    {!announce_view} against a fresh {!fleet_view}. *)
 
 val announce_epoch : t -> int -> Gossip.announcement option
-(** Announcement for a specific sealed epoch. *)
+(** Announcement for a specific sealed epoch; {!announce_epoch_view}
+    against a fresh {!fleet_view}. *)
 
 (** Test-only adversarial entry points. *)
 module Unsafe : sig
@@ -188,9 +190,11 @@ type sharded_proof = {
 }
 
 val prove : t -> shard:int -> jsn:int -> (sharded_proof, string) result
-(** Compose the two hops against the latest sealed epoch.  Refused when
-    no epoch is sealed, or when the shard has committed past its sealed
-    root (the proof would dangle) — reseal and retry. *)
+(** Compose the two hops against the latest sealed epoch: {!prove_view}
+    against a fresh {!fleet_view}.  Refused when no epoch is sealed, or
+    when the shard has committed past its sealed root (the proof would
+    dangle) — reseal and retry.
+    @raise Invalid_argument when [shard] is out of range. *)
 
 val verify_proof :
   t -> super:Hash.t -> ?payload_digest:Hash.t -> sharded_proof -> bool
@@ -235,7 +239,5 @@ val announce_epoch_view : t -> fleet_view -> int -> Gossip.announcement option
 
 val prove_view :
   fleet_view -> shard:int -> jsn:int -> (sharded_proof, string) result
-(** {!prove} against the view — byte-identical results and error
-    strings at the same fleet state.
-    @raise Invalid_argument when [shard] is out of range (callers
-    bounds-check first, as on the live path). *)
+(** The one cross-shard prover, reading only the view.
+    @raise Invalid_argument when [shard] is out of range. *)

@@ -25,26 +25,9 @@ let paginate idx ~spec ?window ~page_size () =
   in
   go None [] 0
 
-let scatter t ~spec ?window ~page_size () =
-  if page_size <= 0 then invalid_arg "Sharded_query.scatter: bad page_size";
-  let n = Sharded_ledger.shard_count t in
-  let answers =
-    List.init n (fun i ->
-        let ledger = Sharded_ledger.shard t i in
-        {
-          shard = i;
-          query_root = Ledger.query_root ledger;
-          commitment = Ledger.commitment ledger;
-          size = Ledger.size ledger;
-          pages =
-            paginate (Ledger.query_index ledger) ~spec ?window ~page_size ();
-        })
-  in
-  { shards = n; answers }
-
-(* Same scatter, from a captured fleet view: every per-shard answer is
-   internally coherent (root, commitment, size and pages from one
-   snapshot), even while the shard's writer keeps appending. *)
+(* Every per-shard answer is internally coherent (root, commitment, size
+   and pages from one snapshot), even while the shard's writer keeps
+   appending. *)
 let scatter_view fv ~spec ?window ~page_size () =
   if page_size <= 0 then invalid_arg "Sharded_query.scatter: bad page_size";
   let module RV = Ledger.Read_view in

@@ -32,16 +32,6 @@ type shard_answer = {
 
 type scatter = { shards : int; answers : shard_answer list }
 
-val scatter :
-  Sharded_ledger.t ->
-  spec:Ledger_query.Range_query.spec ->
-  ?window:Ledger_query.Range_query.window ->
-  page_size:int ->
-  unit ->
-  scatter
-(** Server side: run the full paginated scan on every shard.
-    @raise Invalid_argument when [page_size <= 0]. *)
-
 val scatter_view :
   Sharded_ledger.fleet_view ->
   spec:Ledger_query.Range_query.spec ->
@@ -49,8 +39,10 @@ val scatter_view :
   page_size:int ->
   unit ->
   scatter
-(** {!scatter} from a captured {!Sharded_ledger.fleet_view} — the
-    lock-free read path; safe from any domain while writers append.
+(** Server side: run the full paginated scan on every shard of a
+    captured {!Sharded_ledger.fleet_view}.  Each answer's root,
+    commitment, size and pages come from one shard snapshot; safe from
+    any domain while writers append.
     @raise Invalid_argument when [page_size <= 0]. *)
 
 val merge :

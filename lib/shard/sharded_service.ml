@@ -154,65 +154,6 @@ let route_inner t inner =
   | Some _ -> Error "routed append: not an append request"
   | None -> Error "routed append: malformed inner request"
 
-let dispatch t = function
-  | To_shard { shard; inner } ->
-      if shard < 0 || shard >= Sharded_ledger.shard_count t then
-        Error_r (Printf.sprintf "no such shard %d" shard)
-      else
-        From_shard
-          { shard; inner = Service.handle (Sharded_ledger.shard t shard) inner }
-  | Routed_append { inner } -> (
-      match route_inner t inner with
-      | Error msg -> Error_r msg
-      | Ok shard ->
-          From_shard
-            { shard;
-              inner = Service.handle (Sharded_ledger.shard t shard) inner })
-  | Get_topology ->
-      Topology_r
-        {
-          name = (Sharded_ledger.config t).Sharded_ledger.base.Ledger.name;
-          shards = Sharded_ledger.shard_count t;
-        }
-  | Seal_epoch -> (
-      match Sharded_ledger.seal_epoch t with
-      | Ok sealed -> Sealed_r sealed
-      | Error msg -> Error_r msg)
-  | Get_super_root { epoch } -> (
-      match epoch with
-      | None -> Super_root_r (Sharded_ledger.latest t)
-      | Some e -> Super_root_r (Sharded_ledger.epoch t e))
-  | Get_sharded_proof { shard; jsn } -> (
-      if shard < 0 || shard >= Sharded_ledger.shard_count t then
-        Error_r (Printf.sprintf "no such shard %d" shard)
-      else
-        match Sharded_ledger.prove t ~shard ~jsn with
-        | Ok proof -> Sharded_proof_r proof
-        | Error msg -> Error_r msg)
-  | Get_announcement { epoch } -> (
-      match epoch with
-      | None -> Announcement_r (Sharded_ledger.announce t)
-      | Some e -> Announcement_r (Sharded_ledger.announce_epoch t e))
-  | Query_scatter { spec; window; page_size } ->
-      if page_size <= 0 || page_size > 65536 then Error_r "bad page_size"
-      else Query_scatter_r (Sharded_query.scatter t ~spec ?window ~page_size ())
-
-let handle t b =
-  Metrics.incr "sharded_service_requests_total";
-  let resp =
-    match decode_request b with
-    | None -> Error_r "malformed sharded request"
-    | Some req -> (
-        try dispatch t req
-        with Invalid_argument msg | Failure msg | Sys_error msg -> Error_r msg)
-  in
-  (match resp with
-  | Error_r _ -> Metrics.incr "sharded_service_errors_total"
-  | _ -> ());
-  encode_response resp
-
-(* --- read/mutate split (lock-free read path) -------------------------------- *)
-
 let classify = function
   | Routed_append _ | Seal_epoch -> `Mutate
   | To_shard { inner; _ } -> (
@@ -226,14 +167,16 @@ let classify = function
   | Query_scatter _ ->
       `Read
 
-(* Mirror of every read arm of {!dispatch} against a captured
-   {!Sharded_ledger.fleet_view}; [t] supplies only immutable identity
+let no_such_shard shard = Error_r (Printf.sprintf "no such shard %d" shard)
+
+(* Every read arm, against a captured {!Sharded_ledger.fleet_view}: the
+   only fleet read implementation.  [t] supplies only immutable identity
    (the fleet signing key) for announcements. *)
 let dispatch_view t fv = function
   | Routed_append _ | Seal_epoch -> assert false
   | To_shard { shard; inner } -> (
       if shard < 0 || shard >= Sharded_ledger.view_shard_count fv then
-        Error_r (Printf.sprintf "no such shard %d" shard)
+        no_such_shard shard
       else
         match Service.handle_view fv.Sharded_ledger.fv_shards.(shard) inner with
         | Some inner -> From_shard { shard; inner }
@@ -250,7 +193,7 @@ let dispatch_view t fv = function
       | Some e -> Super_root_r (Sharded_ledger.view_epoch_sealed fv e))
   | Get_sharded_proof { shard; jsn } -> (
       if shard < 0 || shard >= Sharded_ledger.view_shard_count fv then
-        Error_r (Printf.sprintf "no such shard %d" shard)
+        no_such_shard shard
       else
         match Sharded_ledger.prove_view fv ~shard ~jsn with
         | Ok proof -> Sharded_proof_r proof
@@ -264,26 +207,53 @@ let dispatch_view t fv = function
       else
         Query_scatter_r (Sharded_query.scatter_view fv ~spec ?window ~page_size ())
 
+(* Mutations run on the live fleet under the caller's write
+   serialization; reads are answered from a fresh fleet view. *)
+let dispatch t req =
+  match req with
+  | Routed_append { inner } -> (
+      match route_inner t inner with
+      | Error msg -> Error_r msg
+      | Ok shard ->
+          From_shard
+            { shard;
+              inner = Service.handle (Sharded_ledger.shard t shard) inner })
+  | Seal_epoch -> (
+      match Sharded_ledger.seal_epoch t with
+      | Ok sealed -> Sealed_r sealed
+      | Error msg -> Error_r msg)
+  | To_shard { shard; inner } when classify req = `Mutate ->
+      if shard < 0 || shard >= Sharded_ledger.shard_count t then
+        no_such_shard shard
+      else
+        From_shard
+          { shard; inner = Service.handle (Sharded_ledger.shard t shard) inner }
+  | read -> dispatch_view t (Sharded_ledger.fleet_view t) read
+
+(* The one wrapper around every served frame: request and error
+   counters, and exception-to-[Error_r] mapping. *)
+let serve run req =
+  Metrics.incr "sharded_service_requests_total";
+  let resp =
+    match req with
+    | None -> Error_r "malformed sharded request"
+    | Some req -> (
+        try run req
+        with Invalid_argument msg | Failure msg | Sys_error msg -> Error_r msg)
+  in
+  (match resp with
+  | Error_r _ -> Metrics.incr "sharded_service_errors_total"
+  | _ -> ());
+  encode_response resp
+
+let handle t b = serve (dispatch t) (decode_request b)
+
 let handle_read t b =
   match decode_request b with
-  | None ->
-      Metrics.incr "sharded_service_requests_total";
-      Metrics.incr "sharded_service_errors_total";
-      Some (encode_response (Error_r "malformed sharded request"))
-  | Some req -> (
-      match classify req with
-      | `Mutate -> None
-      | `Read ->
-          Metrics.incr "sharded_service_requests_total";
-          let resp =
-            try dispatch_view t (Sharded_ledger.fleet_view t) req
-            with Invalid_argument msg | Failure msg | Sys_error msg ->
-              Error_r msg
-          in
-          (match resp with
-          | Error_r _ -> Metrics.incr "sharded_service_errors_total"
-          | _ -> ());
-          Some (encode_response resp))
+  | Some req when classify req = `Mutate -> None
+  | req ->
+      let read req = dispatch_view t (Sharded_ledger.fleet_view t) req in
+      Some (serve read req)
 
 module Client = struct
   type t = {

@@ -57,7 +57,9 @@ val decode_response : bytes -> response option
 val handle : Sharded_ledger.t -> bytes -> bytes
 (** The fleet dispatcher: decode → route → delegate to the owning
     shard's {!Ledger_core.Service.handle} (or serve the fleet-level
-    request) → encode.  Never raises; malformed input or a refused
+    request) → encode.  Mutations run on the live fleet; every read is
+    answered from a fresh {!Sharded_ledger.fleet_view}, by the same
+    code as {!handle_read}.  Never raises; malformed input or a refused
     epoch seal yields an encoded {!response.Error_r}. *)
 
 val classify : request -> [ `Read | `Mutate ]
@@ -68,9 +70,9 @@ val classify : request -> [ `Read | `Mutate ]
 
 val handle_read : Sharded_ledger.t -> bytes -> bytes option
 (** The read-only half of {!handle}, served from a
-    {!Sharded_ledger.fleet_view} with no lock — byte-identical
-    responses for reads, [None] for mutations.  Safe from any domain
-    concurrently with appends and seals.  Never raises. *)
+    {!Sharded_ledger.fleet_view} with no lock; [None] for mutations.
+    Safe from any domain concurrently with appends and seals.  Never
+    raises. *)
 
 (** Client-side routing, signing and response interpretation.  Holds one
     {!Ledger_core.Service.Client} per shard — each shard is a distinct

@@ -1,20 +1,20 @@
 (* Standard CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320),
-   table-driven.  Pure OCaml so the storage layer stays dependency-free. *)
+   table-driven.  Pure OCaml so the storage layer stays dependency-free.
+   The table is built eagerly at module initialisation: a lazy one raises
+   [CamlinternalLazy.Undefined] when two domains force it at once. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref (Int32.of_int n) in
+      for _ = 0 to 7 do
+        c :=
+          if Int32.logand !c 1l <> 0l then
+            Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+          else Int32.shift_right_logical !c 1
+      done;
+      !c)
 
 let update crc b ~pos ~len =
-  let table = Lazy.force table in
   let c = ref (Int32.logxor crc 0xFFFFFFFFl) in
   for i = pos to pos + len - 1 do
     let idx =

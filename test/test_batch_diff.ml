@@ -131,7 +131,11 @@ let check_equal_histories a b =
     (fun clue ->
       let enc l =
         Service.encode_response
-          (Service.Clue_proof_r (Ledger.prove_clue l ~clue ()))
+          (Service.Clue_bundle_r
+             {
+               proof = Ledger.prove_clue l ~clue ();
+               clue_root = Cm_tree.root_hash (Ledger.cm_tree l);
+             })
       in
       if not (Bytes.equal (enc a) (enc b)) then fail "clue proof %s diverged" clue)
     [ "k0"; "k1" ];

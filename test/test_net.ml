@@ -193,7 +193,7 @@ let test_differential () =
               (Bytes.of_string (Printf.sprintf "wire %d" i)));
         [
           Service.Client.make_get_commitment ();
-          Service.Client.make_get_proof ~jsn:2;
+          Service.Client.make_get_proof_bundle ~jsn:2;
           Service.Client.make_get_proof_bundle ~jsn:5;
           Service.Client.make_get_clue_bundle ~clue:"seed-1" ();
           Service.Client.make_get_receipt ~jsn:1;
@@ -346,7 +346,7 @@ let test_reads_never_take_the_lock () =
       let reads =
         [
           Service.Client.make_get_commitment ();
-          Service.Client.make_get_proof ~jsn:2;
+          Service.Client.make_get_proof_bundle ~jsn:2;
           Service.Client.make_get_proof_bundle ~jsn:5;
           Service.Client.make_get_members ();
           Service.Client.make_get_checkpoint ();

@@ -729,7 +729,7 @@ let sharded_adversarial () =
   in
   let spec = Range_query.Prefix "" in
   let page_size = 3 in
-  let sc = SQ.scatter fleet ~spec ~page_size () in
+  let sc = SQ.scatter_view (SL.fleet_view fleet) ~spec ~page_size () in
   let merge ?(sealed = sealed) ?(shards = fleet_shards) sc =
     SQ.merge ~sealed ~shards ~spec ~page_size sc
   in
@@ -777,7 +777,7 @@ let sharded_adversarial () =
   ignore
     (SL.append fleet ~member:user2 ~priv:key2 ~clues:[ "zeta" ]
        (Bytes.of_string "post-seal"));
-  let sc2 = SQ.scatter fleet ~spec ~page_size () in
+  let sc2 = SQ.scatter_view (SL.fleet_view fleet) ~spec ~page_size () in
   expect_reject "post-seal answer pinned to old epoch" (merge sc2)
 
 let suite =

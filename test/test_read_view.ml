@@ -1,11 +1,15 @@
-(* The lock-free read path (DESIGN.md §17), locked down three ways:
+(* The read path (DESIGN.md §17), locked down three ways:
 
-   1. differentially — every read served from a published
-      {!Ledger.Read_view} must be byte-identical to the same request
-      dispatched against the live, lock-held ledger (receipt timestamps
-      and error strings included), at every mutation boundary: append,
+   1. by golden transcript — every read request kind, in and out of
+      range and malformed, is served at every mutation boundary (append,
       block seal, occult (sync and async), reorganize, storage
-      compaction and purge;
+      compaction, purge) and on an empty ledger.  One SHA-256 over the
+      length-prefixed encoded responses per boundary must equal a fixed
+      digest captured from the former locked, live-state read dispatch,
+      so serving every read from the published {!Ledger.Read_view} kept
+      every response byte (receipt timestamps and error strings
+      included).  [Service.handle] and [Service.handle_read] must also
+      agree on every request;
    2. pinned pagination — a paged scan that pins its first page's epoch
       either completes against that snapshot or gets a typed [Stale_r]
       refusal, never a silently cross-snapshot page;
@@ -22,11 +26,10 @@ open Ledger_cmtree
 module Range_query = Ledger_query.Range_query
 
 let tc = Alcotest.test_case
-let qcheck = QCheck_alcotest.to_alcotest
 
 (* Real crypto (deterministic ECDSA, no simulated signing cost) + free
-   latency (reads charge no simulated I/O): neither path advances any
-   clock, so live and snapshot responses must agree to the last byte. *)
+   latency (reads charge no simulated I/O): no read advances any clock,
+   so every response is a pure function of the ledger state. *)
 let make_env ?(entries = 10) ~name () =
   let clock = Clock.create () in
   let config =
@@ -51,26 +54,23 @@ let make_env ?(entries = 10) ~name () =
   ( clock, ledger,
     (alice, alice_key), (dba, dba_key), (regulator, regulator_key) )
 
-(* Every read request kind, in range, out of range, and malformed. *)
+let range lo hi = List.init (hi - lo + 1) (fun i -> lo + i)
+
+(* Every read request kind, in range, out of range, and malformed, then
+   a deterministic sweep over jsn -3..20, clue 0..4 and page_size
+   -1..6. *)
 let read_battery ledger =
   let size = Ledger.size ledger in
   let epoch = Ledger.view_epoch ledger in
   let open Service.Client in
   [
     make_get_commitment ();
-    make_get_proof ~jsn:0;
-    make_get_proof ~jsn:(size - 1);
-    make_get_proof ~jsn:size;
-    make_get_proof ~jsn:(-1);
     make_get_payload ~jsn:0;
     make_get_payload ~jsn:2;
     make_get_payload ~jsn:(size + 3);
     make_get_receipt ~jsn:(size - 1);
     make_get_receipt ~jsn:1;
     make_get_receipt ~jsn:(size + 7);
-    make_get_clue_proof ~clue:"rv-1" ();
-    make_get_clue_proof ~clue:"rv-1" ~first:0 ~last:0 ();
-    make_get_clue_proof ~clue:"absent" ();
     make_get_extension ~old_size:(max 1 (size / 2));
     make_get_extension ~old_size:(size + 1);
     make_get_journal ~jsn:0;
@@ -80,9 +80,11 @@ let read_battery ledger =
     make_get_block ~height:999;
     make_get_members ();
     make_get_checkpoint ();
+    make_get_proof_bundle ~jsn:0;
     make_get_proof_bundle ~jsn:(size - 1);
     make_get_proof_bundle ~jsn:(size + 2);
     make_get_clue_bundle ~clue:"rv-0" ();
+    make_get_clue_bundle ~clue:"rv-1" ~first:0 ~last:0 ();
     make_get_clue_bundle ~clue:"nope" ();
     make_query_page ~spec:(Range_query.Prefix "rv-") ~page_size:2 ();
     make_query_page ~spec:(Range_query.Prefix "rv-") ~pin:epoch ~page_size:2 ();
@@ -95,46 +97,111 @@ let read_battery ledger =
     Bytes.of_string "not a request";
     Bytes.empty;
   ]
+  @ List.concat_map
+      (fun jsn ->
+        [
+          make_get_proof_bundle ~jsn;
+          make_get_payload ~jsn;
+          make_get_receipt ~jsn;
+          make_get_journal ~jsn;
+          make_get_block ~height:jsn;
+          make_get_extension ~old_size:jsn;
+        ])
+      (range (-3) 20)
+  @ List.concat_map
+      (fun c ->
+        let clue = "rv-" ^ string_of_int c in
+        make_get_clue_bundle ~clue ()
+        :: List.map
+             (fun page_size ->
+               make_query_page ~spec:(Range_query.Prefix clue) ~page_size ())
+             (range (-1) 6))
+      (range 0 4)
 
-let check_differential ~ctx ledger =
-  List.iteri
-    (fun i req ->
-      let live = Service.handle ledger req in
-      match Service.handle_read ledger req with
-      | None ->
-          Alcotest.failf "%s: request %d misclassified as a mutation" ctx i
-      | Some snap ->
-          if not (Bytes.equal live snap) then
-            Alcotest.failf "%s: request %d: snapshot response ≠ locked" ctx i)
-    (read_battery ledger)
+(* SHA-256 over the responses, each prefixed with its 4-byte big-endian
+   length. *)
+let transcript_digest responses =
+  let ctx = Sha256.init () in
+  List.iter
+    (fun resp ->
+      let len = Bytes.create 4 in
+      Bytes.set_int32_be len 0 (Int32.of_int (Bytes.length resp));
+      Sha256.update ctx len;
+      Sha256.update ctx resp)
+    responses;
+  Hash.to_hex (Hash.of_bytes (Sha256.finalize ctx))
+
+let check_golden ~ctx ~golden digest =
+  if digest <> golden then
+    Alcotest.failf "%s: transcript digest %s, golden %s" ctx digest golden
+
+(* Digests of {!read_battery} at each boundary, served by the former
+   locked, live-state read dispatch of [Service.handle]. *)
+let golden_after_appends =
+  "d1dfe3cd02bd680d1f56d320e192af4a467a24a7c836bd6e62e8e9b1af72502b"
+let golden_after_seal =
+  "ed5d47048e4226e9aa3d58f95b5b17081de7c879e5c35f03970e89761322d648"
+let golden_after_occult_sync =
+  "b74bf9054bdc95d600dac69c088fce4e5ac5cbfd4450cff54b549b127ed4345a"
+let golden_after_occult_async =
+  "6f8cca4b946aa58cf14c23a6b26e95743e0def2faa410ec375a319170fe394dc"
+let golden_after_reorganize =
+  "b55600bd5aa286b3948ba6a85ca88d2ed03693645a96aad0fdc429cd45adf443"
+let golden_after_compact =
+  "24b94c5bcd60f3c809732ecddbcbdea854fcda5e88a42c5823334f16c0c812d3"
+let golden_after_purge =
+  "030ec89d20e3a5f2915311b85fd0c684af1afff41e5ab3bd10e0200edfd38704"
+let golden_after_post_purge_append =
+  "3d80449d9047e189f192fb4687e18132957e0e883f6b734a67fe9c512e23bde3"
+let golden_empty =
+  "5034d3a90b9bc895d91fe49f256b04317b73967cfa15af92bdfe16a3c369aab0"
+
+let check_battery ~ctx ~golden ledger =
+  let responses =
+    List.mapi
+      (fun i req ->
+        let resp = Service.handle ledger req in
+        (match Service.handle_read ledger req with
+        | None ->
+            Alcotest.failf "%s: request %d misclassified as a mutation" ctx i
+        | Some snap ->
+            if not (Bytes.equal resp snap) then
+              Alcotest.failf "%s: request %d: handle ≠ handle_read" ctx i);
+        resp)
+      (read_battery ledger)
+  in
+  check_golden ~ctx ~golden (transcript_digest responses)
 
 let test_differential_over_mutations () =
   let clock, ledger, (alice, alice_key), (dba, dba_key), (reg, reg_key) =
     make_env ~entries:10 ~name:"rv-diff" ()
   in
-  check_differential ~ctx:"after appends" ledger;
+  check_battery ~ctx:"after appends" ~golden:golden_after_appends ledger;
   Ledger.seal_block ledger;
-  check_differential ~ctx:"after seal_block" ledger;
+  check_battery ~ctx:"after seal_block" ~golden:golden_after_seal ledger;
   (match
      Ledger.occult ledger ~target_jsn:2 ~mode:Ledger.Sync
        ~signers:[ (dba, dba_key); (reg, reg_key) ] ~reason:"rv diff"
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  check_differential ~ctx:"after occult(Sync)" ledger;
+  check_battery ~ctx:"after occult(Sync)" ~golden:golden_after_occult_sync
+    ledger;
   (match
      Ledger.occult ledger ~target_jsn:4 ~mode:Ledger.Async
        ~signers:[ (dba, dba_key); (reg, reg_key) ] ~reason:"rv diff"
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  (* async occult marked but not yet erased: snapshot must reflect the
-     live erasure state, not race ahead of reorganize *)
-  check_differential ~ctx:"after occult(Async)" ledger;
+  (* async occult marked but not yet erased: the snapshot must reflect
+     the live erasure state, not race ahead of reorganize *)
+  check_battery ~ctx:"after occult(Async)" ~golden:golden_after_occult_async
+    ledger;
   ignore (Ledger.reorganize ledger);
-  check_differential ~ctx:"after reorganize" ledger;
+  check_battery ~ctx:"after reorganize" ~golden:golden_after_reorganize ledger;
   ignore (Ledger.compact_storage ledger);
-  check_differential ~ctx:"after compact_storage" ledger;
+  check_battery ~ctx:"after compact_storage" ~golden:golden_after_compact
+    ledger;
   let request =
     { Ledger.upto_jsn = 3; survivors = [ 1 ]; erase_fam_nodes = false }
   in
@@ -144,16 +211,17 @@ let test_differential_over_mutations () =
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  check_differential ~ctx:"after purge" ledger;
+  check_battery ~ctx:"after purge" ~golden:golden_after_purge ledger;
   Clock.advance_ms clock 10.;
   ignore
     (Ledger.append ledger ~member:alice ~priv:alice_key ~clues:[ "rv-post" ]
        (Bytes.of_string "post purge"));
-  check_differential ~ctx:"after post-purge append" ledger
+  check_battery ~ctx:"after post-purge append"
+    ~golden:golden_after_post_purge_append ledger
 
 let test_differential_empty_ledger () =
   let _, ledger, _, _, _ = make_env ~entries:0 ~name:"rv-empty" () in
-  check_differential ~ctx:"empty ledger" ledger
+  check_battery ~ctx:"empty ledger" ~golden:golden_empty ledger
 
 let test_mutations_refused_on_read_path () =
   let clock, ledger, (alice, alice_key), _, _ =
@@ -188,39 +256,6 @@ let test_mutations_refused_on_read_path () =
   match Service.Client.parse (Service.handle ledger batch_req) with
   | Some (Service.Receipts_r _) -> ()
   | _ -> Alcotest.fail "locked path rejected the batch"
-
-(* --- qcheck: random reads stay byte-identical ----------------------- *)
-
-let diff_env = lazy (make_env ~entries:12 ~name:"rv-rand" ())
-
-let prop_differential_random =
-  QCheck.Test.make ~name:"random reads: snapshot ≡ locked dispatch"
-    ~count:40
-    QCheck.(triple (int_range (-3) 20) (int_range 0 4) (int_range (-1) 6))
-    (fun (jsn, clue_i, page_size) ->
-      let _, ledger, _, _, _ = Lazy.force diff_env in
-      let clue = "rv-" ^ string_of_int clue_i in
-      let open Service.Client in
-      let reqs =
-        [
-          make_get_proof ~jsn;
-          make_get_payload ~jsn;
-          make_get_receipt ~jsn;
-          make_get_journal ~jsn;
-          make_get_block ~height:jsn;
-          make_get_extension ~old_size:jsn;
-          make_get_proof_bundle ~jsn;
-          make_get_clue_proof ~clue ();
-          make_get_clue_bundle ~clue ();
-          make_query_page ~spec:(Range_query.Prefix clue) ~page_size ();
-        ]
-      in
-      List.for_all
-        (fun req ->
-          match Service.handle_read ledger req with
-          | None -> false
-          | Some snap -> Bytes.equal (Service.handle ledger req) snap)
-        reqs)
 
 (* --- epoch-pinned pagination ---------------------------------------- *)
 
@@ -416,9 +451,14 @@ let test_concurrent_readers () =
         true (n > 0))
     iterations
 
-(* --- sharded fleet: snapshot dispatch ≡ locked dispatch -------------- *)
+(* --- sharded fleet: golden transcript --------------------------------- *)
 
-let test_sharded_differential () =
+(* Digest of the sharded battery, served by the former locked,
+   live-state fleet dispatch of [Sharded_service.handle]. *)
+let golden_sharded =
+  "5b623d7153a554e07aba116fe1c9b91fc64ce781405d62effed261b618ed0bc5"
+
+let test_sharded_golden () =
   let module SL = Ledger_shard.Sharded_ledger in
   let module SS = Ledger_shard.Sharded_service in
   let clock = Clock.create () in
@@ -460,7 +500,8 @@ let test_sharded_differential () =
         ~page_size:0 ();
       SS.Client.make_to_shard ~shard:0
         (Service.Client.make_get_commitment ());
-      SS.Client.make_to_shard ~shard:1 (Service.Client.make_get_proof ~jsn:0);
+      SS.Client.make_to_shard ~shard:1
+        (Service.Client.make_get_proof_bundle ~jsn:0);
       SS.Client.make_to_shard ~shard:1
         (Service.Client.make_get_checkpoint ());
       SS.Client.make_to_shard ~shard:9
@@ -469,15 +510,20 @@ let test_sharded_differential () =
       Bytes.of_string "sharded garbage";
     ]
   in
-  List.iteri
-    (fun i req ->
-      let live = SS.handle fleet req in
-      match SS.handle_read fleet req with
-      | None -> Alcotest.failf "sharded request %d misclassified" i
-      | Some snap ->
-          if not (Bytes.equal live snap) then
-            Alcotest.failf "sharded request %d: snapshot ≠ locked" i)
-    battery;
+  let responses =
+    List.mapi
+      (fun i req ->
+        let resp = SS.handle fleet req in
+        (match SS.handle_read fleet req with
+        | None -> Alcotest.failf "sharded request %d misclassified" i
+        | Some snap ->
+            if not (Bytes.equal resp snap) then
+              Alcotest.failf "sharded request %d: handle ≠ handle_read" i);
+        resp)
+      battery
+  in
+  check_golden ~ctx:"sharded battery" ~golden:golden_sharded
+    (transcript_digest responses);
   (* fleet mutations stay on the locked path *)
   (match SS.handle_read fleet (SS.Client.make_seal_epoch ()) with
   | None -> ()
@@ -514,8 +560,7 @@ let suite =
     tc "differential: empty ledger" `Quick test_differential_empty_ledger;
     tc "mutations refused on the read path" `Quick
       test_mutations_refused_on_read_path;
-    qcheck prop_differential_random;
     tc "query pagination: epoch pin and Stale_r" `Quick test_query_pin;
     tc "concurrent readers vs mutating writer" `Slow test_concurrent_readers;
-    tc "sharded: snapshot ≡ locked dispatch" `Slow test_sharded_differential;
+    tc "sharded: golden transcript" `Slow test_sharded_golden;
   ]

@@ -71,11 +71,30 @@ let test_replay_rejected () =
   | Some (Service.Error_r _) -> ()
   | Some (Service.Receipt_r _) -> Alcotest.fail "tampered request accepted"
   | _ -> ());
-  (* garbage is answered with a protocol error, not an exception *)
-  match roundtrip ledger (Bytes.of_string "garbage") with
-  | Some (Service.Error_r msg) ->
-      Alcotest.(check string) "malformed" "malformed request" msg
-  | _ -> Alcotest.fail "expected protocol error"
+  (* garbage is answered with a protocol error, not an exception; so are
+     the retired unbundled proof requests (wire tags 2 and 4) *)
+  let frame f =
+    let w = Wire.writer () in
+    f w;
+    Wire.contents w
+  in
+  List.iter
+    (fun req ->
+      match roundtrip ledger req with
+      | Some (Service.Error_r msg) ->
+          Alcotest.(check string) "malformed" "malformed request" msg
+      | _ -> Alcotest.fail "expected protocol error")
+    [
+      Bytes.of_string "garbage";
+      frame (fun w ->
+          Wire.w_u8 w 2;
+          Wire.w_int w 0);
+      frame (fun w ->
+          Wire.w_u8 w 4;
+          Wire.w_string w "k1";
+          Wire.w_option w (Wire.w_int w) None;
+          Wire.w_option w (Wire.w_int w) None);
+    ]
 
 let test_proofs_over_wire () =
   let clock, ledger, client = make_service () in
@@ -91,7 +110,7 @@ let test_proofs_over_wire () =
     | _ -> Alcotest.fail "append failed"
   done;
   (* fetch commitment, then verify an existence proof fully client-side *)
-  let commitment, _size =
+  let commitment, size0 =
     match roundtrip ledger (Service.Client.make_get_commitment ()) with
     | Some (Service.Commitment_r { commitment; size }) -> (commitment, size)
     | _ -> Alcotest.fail "no commitment"
@@ -102,8 +121,8 @@ let test_proofs_over_wire () =
     | _ -> Alcotest.fail "no payload"
   in
   Alcotest.(check string) "payload content" "p4" (Bytes.to_string payload);
-  (match roundtrip ledger (Service.Client.make_get_proof ~jsn:4) with
-  | Some (Service.Proof_r proof) ->
+  (match roundtrip ledger (Service.Client.make_get_proof_bundle ~jsn:4) with
+  | Some (Service.Proof_bundle_r { proof; commitment = c; size }) ->
       (* the client recomputes the leaf from the journal it received via a
          receipt; here we use the server's receipt tx-hash *)
       let receipt =
@@ -111,14 +130,19 @@ let test_proofs_over_wire () =
         | Some (Service.Receipt_r r) -> r
         | _ -> Alcotest.fail "no receipt"
       in
+      Alcotest.(check bool) "bundled root is the fetched commitment" true
+        (Hash.equal c commitment && size = size0);
       Alcotest.(check bool) "fam proof verified client-side" true
         (Fam.verify ~commitment ~leaf:receipt.Receipt.tx_hash proof)
   | _ -> Alcotest.fail "no proof");
   (* clue proof over the wire *)
   match
-    roundtrip ledger (Service.Client.make_get_clue_proof ~clue:"k1" ())
+    roundtrip ledger (Service.Client.make_get_clue_bundle ~clue:"k1" ())
   with
-  | Some (Service.Clue_proof_r (Some proof)) ->
+  | Some (Service.Clue_bundle_r { proof = Some proof; clue_root }) ->
+      Alcotest.(check bool) "bundled clue root is the ledger's" true
+        (Hash.equal clue_root
+           (Ledger_cmtree.Cm_tree.root_hash (Ledger.cm_tree ledger)));
       Alcotest.(check bool) "clue proof verified" true
         (Ledger.verify_clue_client ledger proof)
   | _ -> Alcotest.fail "no clue proof"
@@ -131,7 +155,7 @@ let test_out_of_range_requests () =
       | Some (Service.Error_r _) -> ()
       | _ -> Alcotest.fail "expected error response")
     [
-      Service.Client.make_get_proof ~jsn:5;
+      Service.Client.make_get_proof_bundle ~jsn:5;
       Service.Client.make_get_payload ~jsn:(-1);
       Service.Client.make_get_receipt ~jsn:100;
       Service.Client.make_get_commitment ();

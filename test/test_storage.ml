@@ -151,6 +151,31 @@ let test_crc32_vectors () =
   in
   Alcotest.(check int32) "incremental" whole part
 
+(* Several domains released together CRC the same inputs: the shared
+   table must be usable from any domain on first use. *)
+let test_crc32_concurrent () =
+  let domains = 4 in
+  let ready = Atomic.make 0 in
+  let big = Bytes.init 4096 (fun i -> Char.chr (i land 0xff)) in
+  let workers =
+    List.init domains (fun _ ->
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < domains do
+              Domain.cpu_relax ()
+            done;
+            List.init 50 (fun _ -> (Crc32.string "123456789", Crc32.bytes big))))
+  in
+  let expected_big = Crc32.bytes big in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun (check, b) ->
+          Alcotest.(check int32) "check vector" 0xCBF43926l check;
+          Alcotest.(check int32) "same CRC on every domain" expected_big b)
+        (Domain.join d))
+    workers
+
 let test_stream_store_recover_roundtrip () =
   let dir = fresh_dir () in
   let store = Stream_store.create ~dir () in
@@ -311,6 +336,7 @@ let base_suite =
     tc "stream store growth" `Quick test_stream_store_growth;
     tc "stream store persist" `Quick test_stream_store_persist;
     tc "crc32 vectors" `Quick test_crc32_vectors;
+    tc "crc32 concurrent first use" `Quick test_crc32_concurrent;
     tc "stream store recover roundtrip" `Quick test_stream_store_recover_roundtrip;
     tc "stream store recover torn tail" `Quick test_stream_store_recover_torn_tail;
     tc "stream store recover corrupt" `Quick test_stream_store_recover_corrupt_record;

@@ -14,11 +14,14 @@ set -eu
 exe=$1
 shift
 [ $# -ge 1 ] || set -- 0 17 4242
+# a bare name (as dune passes it) is a file here, not a PATH lookup
+case $exe in */*) ;; *) exe=./$exe ;; esac
 
 for offset in "$@"; do
   echo "chaos_matrix: offset $offset"
-  if ! LEDGERDB_CHAOS_SEED="$offset" "$exe" matrix; then
-    status=$?
+  status=0
+  LEDGERDB_CHAOS_SEED="$offset" "$exe" matrix || status=$?
+  if [ "$status" -ne 0 ]; then
     echo "chaos_matrix: offset $offset failed (exit $status); reproduce with" >&2
     echo "  LEDGERDB_CHAOS_SEED=$offset dune exec bin/chaos_check.exe matrix" >&2
     exit "$status"
