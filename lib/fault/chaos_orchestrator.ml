@@ -323,11 +323,23 @@ let run (scenario : scenario) =
         fail st "shard %d: subject has %d journals, reference %d" i
           (Ledger.size s) (Ledger.size r)
       end
-      else if not (Hash.equal (Ledger.commitment s) (Ledger.commitment r))
-      then begin
-        shards_equal := false;
-        fail st "shard %d: commitment diverges from never-faulted run" i
-      end
+      else
+        (* a repaired shard must serve the same scans and clue proofs,
+           not just the same journals *)
+        match
+          List.find_opt
+            (fun (_, root) -> not (Hash.equal (root s) (root r)))
+            [
+              ("commitment", Ledger.commitment);
+              ("query index", Ledger.query_root);
+              ( "clue root",
+                fun l -> Ledger_cmtree.Cm_tree.root_hash (Ledger.cm_tree l) );
+            ]
+        with
+        | Some (what, _) ->
+            shards_equal := false;
+            fail st "shard %d: %s diverges from never-faulted run" i what
+        | None -> ()
     done;
   let final_equal =
     healthy && !shards_equal

@@ -330,6 +330,8 @@ let blocks t = List.rev t.blocks
 
 (* --- journal commitment ------------------------------------------------ *)
 
+let state_leaf ~clue ~tx = Hash.combine (Hash.scatter clue) tx
+
 let ensure_slot_capacity t =
   if t.count >= Array.length t.slots then begin
     let bigger = Array.make (2 * Array.length t.slots) t.slots.(0) in
@@ -337,70 +339,78 @@ let ensure_slot_capacity t =
     t.slots <- bigger
   end
 
-(* Commit a fully formed journal: storage, fam, CM-Tree, world-state,
-   block fill.  Returns the slot. *)
-(* CM-Tree, cSL skip list and world-state entries for one journal —
-   shared by the sequential and batched commit paths. *)
-let index_clues t (j : Journal.t) tx =
-  List.iter
-    (fun clue ->
-      ignore (Cm_tree.insert t.cm ~clue tx);
-      let index =
-        match Hashtbl.find_opt t.clue_index clue with
-        | Some sl -> sl
-        | None ->
-            let sl = Cm_tree_index.create () in
-            Hashtbl.replace t.clue_index clue sl;
-            sl
-      in
-      Cm_tree_index.append index j.Journal.jsn;
-      Query_index.add t.query ~clue ~jsn:j.Journal.jsn ~tx;
-      (* world-state: one entry per clue-state transition *)
-      let leaf_index =
-        Accumulator.append t.world_state (Hash.combine (Hash.scatter clue) tx)
-      in
-      (match Hashtbl.find_opt t.state_index clue with
-      | Some r -> r := leaf_index :: !r
-      | None -> Hashtbl.replace t.state_index clue (ref [ leaf_index ])))
-    j.Journal.clues
-
-let install_slot t (j : Journal.t) ~tx ~store_index =
-  ensure_slot_capacity t;
-  let s = { journal = j; tx; store_index; request_hash = j.Journal.request_hash } in
-  t.slots.(t.count) <- s;
-  t.count <- t.count + 1;
-  index_clues t j tx;
-  t.pending_txs <- tx :: t.pending_txs;
-  (match j.Journal.kind with
-  | Journal.Time _ -> t.time_journals <- j.Journal.jsn :: t.time_journals
-  | _ -> ());
-  Metrics.incr "ledger_appends_total";
-  Metrics.observe_int "ledger_payload_bytes" (Bytes.length j.Journal.payload);
-  s
-
-let commit_journal t (j : Journal.t) =
-  let sp = Trace.enter "ledger.commit" in
-  Trace.attr_int sp "jsn" j.Journal.jsn;
+(* The one code path that installs journals into the in-memory ledger:
+   storage record, slot, fam leaf, CM-Tree, cSL skip list, query index,
+   world-state, and the kind-specific bookkeeping (time journals, occult
+   bits, pseudo-genesis).  Live commits ({!commit_batch}) and snapshot
+   replay ({!load_verbose}) both go through it, so any party replaying
+   the journal stream derives the same state.  [txs] are the journals'
+   leaves: re-hashed on commit, retained on replay (erased payloads
+   cannot be re-hashed).  It never seals — block boundaries are the
+   caller's. *)
+let install ?(pool = Domain_pool.sequential) t journals txs =
   let sp_persist = Trace.enter "persist" in
-  let store_index = Stream_store.append t.journal_stream j.Journal.payload in
+  let first_store =
+    Stream_store.append_many t.journal_stream
+      (List.map (fun (j : Journal.t) -> j.Journal.payload) journals)
+  in
   Trace.exit sp_persist;
-  let tx = Journal.tx_hash j in
   let sp_acc = Trace.enter "accumulate" in
-  ignore (Fam.append t.fam tx);
-  let s = install_slot t j ~tx ~store_index in
+  ignore (Fam.append_many ~pool t.fam txs);
+  let first_slot = t.count in
+  let slots =
+    List.map2
+      (fun (j : Journal.t) tx ->
+        let jsn = j.Journal.jsn in
+        let s =
+          { journal = j; tx; store_index = first_store + t.count - first_slot;
+            request_hash = j.Journal.request_hash }
+        in
+        ensure_slot_capacity t;
+        t.slots.(t.count) <- s;
+        t.count <- t.count + 1;
+        List.iter
+          (fun clue ->
+            ignore (Cm_tree.insert t.cm ~clue tx);
+            let index =
+              match Hashtbl.find_opt t.clue_index clue with
+              | Some sl -> sl
+              | None ->
+                  let sl = Cm_tree_index.create () in
+                  Hashtbl.replace t.clue_index clue sl;
+                  sl
+            in
+            Cm_tree_index.append index jsn;
+            Query_index.add t.query ~clue ~jsn ~tx;
+            (* world-state: one entry per clue-state transition *)
+            let leaf_index =
+              Accumulator.append t.world_state (state_leaf ~clue ~tx)
+            in
+            match Hashtbl.find_opt t.state_index clue with
+            | Some r -> r := leaf_index :: !r
+            | None -> Hashtbl.replace t.state_index clue (ref [ leaf_index ]))
+          j.Journal.clues;
+        t.pending_txs <- tx :: t.pending_txs;
+        (match j.Journal.kind with
+        | Journal.Time _ -> t.time_journals <- jsn :: t.time_journals
+        | Journal.Occult { target_jsn; _ } ->
+            Bitmap_index.set t.occult_bits target_jsn
+        | Journal.Pseudo_genesis _ -> t.pseudo_genesis_jsn <- Some jsn
+        | Journal.Normal | Journal.Purge _ -> ());
+        s)
+      journals txs
+  in
   Trace.exit sp_acc;
-  if List.length t.pending_txs >= t.cfg.block_size then seal_block t;
-  publish t;
-  Trace.exit sp;
-  s
+  slots
 
-(* Batched commit: one storage append and one fam accumulation per chunk,
-   at most one seal per filled block.  Chunks end exactly at block
-   boundaries so every auto-seal captures the same accumulator state a
-   sequential replay would have — batched and unbatched histories stay
-   byte-identical (locked down by test_batch_diff). *)
+(* Commit fully formed journals — a single append is a one-element
+   batch: one storage append and one fam accumulation per chunk, at most
+   one seal per filled block.  Chunks end exactly at block boundaries so
+   every auto-seal captures the same accumulator state a one-at-a-time
+   run would have — batched and unbatched histories stay byte-identical
+   (locked down by test_batch_diff). *)
 let commit_batch ?(pool = Domain_pool.sequential) t journals =
-  let sp = Trace.enter "ledger.flush_batch" in
+  let sp = Trace.enter "ledger.commit" in
   Trace.attr_int sp "batch_size" (List.length journals);
   let rec split_at n acc = function
     | rest when n = 0 -> (List.rev acc, rest)
@@ -417,34 +427,24 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
         end
         else begin
           let chunk, rest = split_at (min room (List.length js)) [] js in
-          let sp_persist = Trace.enter "persist" in
-          let first_store =
-            Stream_store.append_many t.journal_stream
-              (List.map (fun (j : Journal.t) -> j.Journal.payload) chunk)
-          in
-          Trace.exit sp_persist;
           (* leaf hashing is pure per journal: fan it out, keep order *)
           let txs =
             Domain_pool.map_list pool ~label:"tx_hash" ~min_chunk:8
               Journal.tx_hash chunk
           in
-          let sp_acc = Trace.enter "accumulate" in
-          ignore (Fam.append_many ~pool t.fam txs);
-          let slots =
-            List.map2
-              (fun (j : Journal.t) (tx, k) ->
-                install_slot t j ~tx ~store_index:(first_store + k))
-              chunk
-              (List.mapi (fun k tx -> (tx, k)) txs)
-          in
-          Trace.exit sp_acc;
+          let slots = install ~pool t chunk txs in
+          List.iter
+            (fun (j : Journal.t) ->
+              Metrics.incr "ledger_appends_total";
+              Metrics.observe_int "ledger_payload_bytes"
+                (Bytes.length j.Journal.payload))
+            chunk;
           if List.length t.pending_txs >= t.cfg.block_size then seal_block t;
           go (List.rev_append slots acc) rest
         end
   in
   let slots = go [] journals in
   publish t;
-  Metrics.incr "ledger_batch_appends_total";
   Metrics.observe_int "ledger_batch_size" (List.length journals);
   Trace.exit sp;
   slots
@@ -482,29 +482,55 @@ let make_receipt t s =
   build_receipt s ~blocks:t.blocks ~timestamp:(Clock.now t.clock)
     ~sign:(sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub)
 
-let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
+(* Stamp, number and sign one locally made request: a member's append,
+   or a system journal signed by the LSP. *)
+let sign_request t ?(kind = Journal.Normal) ~priv ~pub ~payload ~clues () =
+  let client_ts = Clock.now t.clock in
+  t.nonce <- t.nonce + 1;
+  let request_hash =
+    Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:(Journal.kind_tag kind)
+      ~payload ~clues ~client_ts ~nonce:t.nonce
+  in
+  let signature = sign_with_profile t ~priv ~pub request_hash in
+  (client_ts, t.nonce, request_hash, signature)
+
+(* Co-signatures of [signers] (member, key) over a request. *)
+let cosign t signers request_hash =
+  List.map
+    (fun (m, p) ->
+      (m.Roles.id, sign_with_profile t ~priv:p ~pub:m.Roles.pub request_hash))
+    signers
+
+(* The journal record of a signed request the server has accepted,
+   stamped with the server's clock. *)
+let journal_record t ?(kind = Journal.Normal) ?(cosigners = []) ~jsn
+    ~client_id ~payload ~clues (client_ts, nonce, request_hash, signature) =
+  {
+    Journal.jsn;
+    kind;
+    client_id;
+    payload;
+    clues;
+    client_ts;
+    server_ts = Clock.now t.clock;
+    nonce;
+    request_hash;
+    client_sig = Some signature;
+    cosigners;
+  }
+
+let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload =
   (match Roles.find t.registry member.Roles.id with
   | Some _ -> ()
   | None -> invalid_arg "Ledger.append: unknown member");
   let sp = Trace.enter "ledger.append" in
   Trace.attr_int sp "jsn" t.count;
-  let client_ts = Clock.now t.clock in
-  t.nonce <- t.nonce + 1;
   (* phase 1: client signs the request (π_c) *)
-  let request_hash =
-    Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal"
-      ~payload:payload_bytes ~clues ~client_ts ~nonce:t.nonce
-  in
   let sp_sign = Trace.enter "sign" in
-  let client_sig =
-    sign_with_profile t ~priv ~pub:member.Roles.pub request_hash
+  let ((_, _, request_hash, client_sig) as request) =
+    sign_request t ~priv ~pub:member.Roles.pub ~payload ~clues ()
   in
-  let cosigs =
-    List.map
-      (fun (m, p) ->
-        (m.Roles.id, sign_with_profile t ~priv:p ~pub:m.Roles.pub request_hash))
-      cosigners
-  in
+  let cosigners = cosign t cosigners request_hash in
   Trace.exit sp_sign;
   (* phase 2: proxy ships payload to shared storage, digest to server *)
   Latency_model.charge_net t.cfg.latency t.clock;
@@ -516,60 +542,16 @@ let append t ~member ~priv ?(cosigners = []) ?(clues = []) payload_bytes =
     Trace.exit sp;
     invalid_arg "Ledger.append: bad client signature"
   end;
-  let j =
-    {
-      Journal.jsn = t.count;
-      kind = Journal.Normal;
-      client_id = member.Roles.id;
-      payload = payload_bytes;
-      clues;
-      client_ts;
-      server_ts = Clock.now t.clock;
-      nonce = t.nonce;
-      request_hash;
-      client_sig = Some client_sig;
-      cosigners = cosigs;
-    }
+  let s =
+    List.hd
+      (commit_batch t
+         [ journal_record t ~jsn:t.count ~client_id:member.Roles.id
+             ~cosigners ~payload ~clues request ])
   in
-  let s = commit_journal t j in
   (* phase 3: LSP receipt (π_s) *)
   let r = make_receipt t s in
   Trace.exit sp;
   r
-
-(* Fig. 1's actual service path: the client signed the request remotely
-   and ships (payload, metadata, pi_c); the server re-derives the request
-   hash, checks the signature, and commits. *)
-let append_signed t ~member_id ~payload ~clues ~client_ts ~nonce ~signature =
-  match Roles.find t.registry member_id with
-  | None -> Error "append: unknown member"
-  | Some member ->
-      let request_hash =
-        Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal" ~payload
-          ~clues ~client_ts ~nonce
-      in
-      Latency_model.charge_net t.cfg.latency t.clock;
-      if not (verify_with_profile t ~pub:member.Roles.pub request_hash signature)
-      then Error "append: bad client signature"
-      else begin
-        let j =
-          {
-            Journal.jsn = t.count;
-            kind = Journal.Normal;
-            client_id = member_id;
-            payload;
-            clues;
-            client_ts;
-            server_ts = Clock.now t.clock;
-            nonce;
-            request_hash;
-            client_sig = Some signature;
-            cosigners = [];
-          }
-        in
-        let s = commit_journal t j in
-        Ok (make_receipt t s)
-      end
 
 (* Batched append: one network round trip, one storage append, one fam
    accumulation and (with [seal]) one trailing block seal for the whole
@@ -582,33 +564,16 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
   Latency_model.charge_net t.cfg.latency t.clock;
   let journals =
     List.mapi
-      (fun i (payload_bytes, clues) ->
-        let client_ts = Clock.now t.clock in
-        t.nonce <- t.nonce + 1;
-        let request_hash =
-          Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal"
-            ~payload:payload_bytes ~clues ~client_ts ~nonce:t.nonce
-        in
-        let client_sig =
-          sign_with_profile t ~priv ~pub:member.Roles.pub request_hash
+      (fun i (payload, clues) ->
+        let request =
+          sign_request t ~priv ~pub:member.Roles.pub ~payload ~clues ()
         in
         (* the π_c *decision* is deferred to one pooled pass below; only
            its clock charge stays here so server_ts is byte-identical to
            the sequential sign-verify interleaving *)
         Crypto_profile.charge_verify t.cfg.crypto t.clock;
-        {
-          Journal.jsn = t.count + i;
-          kind = Journal.Normal;
-          client_id = member.Roles.id;
-          payload = payload_bytes;
-          clues;
-          client_ts;
-          server_ts = Clock.now t.clock;
-          nonce = t.nonce;
-          request_hash;
-          client_sig = Some client_sig;
-          cosigners = [];
-        })
+        journal_record t ~jsn:(t.count + i) ~client_id:member.Roles.id
+          ~payload ~clues request)
       entries
   in
   let checks =
@@ -626,63 +591,65 @@ let append_batch ?(pool = Domain_pool.default ()) t ~member ~priv
   if seal then seal_block t;
   List.map (make_receipt t) slots
 
-(* Remote batched append (the [Append_batch] wire request): every entry
-   was signed client-side; the whole batch is validated before anything
-   commits, so a bad signature rejects the batch atomically. *)
+(* Server-side validation of remotely signed entries
+   [(payload, clues, client_ts, nonce, signature)] — Fig. 1's service
+   path, for one entry or a whole [Append_batch].  One network charge;
+   a pooled pre-pass re-derives every request digest and decides every
+   π_c purely, before any state mutation.  Clock charges and journal
+   construction stay sequential, in submission order, so accepted
+   histories — and the clock at the moment a bad entry rejects the
+   batch — are byte-identical to a sequential validation loop.
+   [Error i] names the first bad entry; nothing is committed. *)
+let validate_signed ~pool t (member : Roles.member) entries =
+  Latency_model.charge_net t.cfg.latency t.clock;
+  let checked =
+    Domain_pool.map_list pool ~label:"sig_check" ~min_chunk:2
+      (fun (payload, clues, client_ts, nonce, signature) ->
+        let request_hash =
+          Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal"
+            ~payload ~clues ~client_ts ~nonce
+        in
+        ( request_hash,
+          check_with_profile t ~pub:member.Roles.pub request_hash signature ))
+      entries
+  in
+  let rec validate i acc entries checked =
+    match (entries, checked) with
+    | [], [] -> Ok (List.rev acc)
+    | ( (payload, clues, client_ts, nonce, signature) :: rest,
+        (request_hash, ok) :: checked_rest ) ->
+        Crypto_profile.charge_verify t.cfg.crypto t.clock;
+        if not ok then Error i
+        else
+          let j =
+            journal_record t ~jsn:(t.count + i) ~client_id:member.Roles.id
+              ~payload ~clues
+              (client_ts, nonce, request_hash, signature)
+          in
+          validate (i + 1) (j :: acc) rest checked_rest
+    | _ -> assert false (* same length by construction *)
+  in
+  validate 0 [] entries checked
+
+let append_signed t ~member_id ~payload ~clues ~client_ts ~nonce ~signature =
+  match Roles.find t.registry member_id with
+  | None -> Error "append: unknown member"
+  | Some member -> (
+      match
+        validate_signed ~pool:Domain_pool.sequential t member
+          [ (payload, clues, client_ts, nonce, signature) ]
+      with
+      | Error _ -> Error "append: bad client signature"
+      | Ok journals -> Ok (make_receipt t (List.hd (commit_batch t journals))))
+
 let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
   match Roles.find t.registry member_id with
   | None -> Error "append_batch: unknown member"
-  | Some member ->
-      Latency_model.charge_net t.cfg.latency t.clock;
-      (* pooled pre-pass: re-derive every request digest and decide every
-         π_c purely, before any state mutation.  Clock charges and
-         journal construction stay sequential below, in submission
-         order, so accepted histories — and the clock at the moment a
-         bad entry rejects the batch — are byte-identical to the
-         sequential validation loop. *)
-      let checked =
-        Domain_pool.map_list pool ~label:"sig_check" ~min_chunk:2
-          (fun (payload, clues, client_ts, nonce, signature) ->
-            let request_hash =
-              Journal.request_digest ~ledger_uri:(uri t) ~kind_tag:"normal"
-                ~payload ~clues ~client_ts ~nonce
-            in
-            ( request_hash,
-              check_with_profile t ~pub:member.Roles.pub request_hash signature
-            ))
-          entries
-      in
-      let rec validate i acc entries checked =
-        match (entries, checked) with
-        | [], [] -> Ok (List.rev acc)
-        | ( (payload, clues, client_ts, nonce, signature) :: rest,
-            (request_hash, ok) :: checked_rest ) ->
-            Crypto_profile.charge_verify t.cfg.crypto t.clock;
-            if not ok then
-              Error
-                (Printf.sprintf "append_batch: bad client signature (entry %d)"
-                   i)
-            else
-              let j =
-                {
-                  Journal.jsn = t.count + i;
-                  kind = Journal.Normal;
-                  client_id = member_id;
-                  payload;
-                  clues;
-                  client_ts;
-                  server_ts = Clock.now t.clock;
-                  nonce;
-                  request_hash;
-                  client_sig = Some signature;
-                  cosigners = [];
-                }
-              in
-              validate (i + 1) (j :: acc) rest checked_rest
-        | _ -> assert false (* same length by construction *)
-      in
-      (match validate 0 [] entries checked with
-      | Error _ as e -> e
+  | Some member -> (
+      match validate_signed ~pool t member entries with
+      | Error i ->
+          Error
+            (Printf.sprintf "append_batch: bad client signature (entry %d)" i)
       | Ok journals ->
           let slots = commit_batch ~pool t journals in
           seal_block t;
@@ -891,8 +858,6 @@ let world_state_root t =
 
 let world_state_size t = Accumulator.size t.world_state
 
-let state_leaf ~clue ~tx = Hash.combine (Hash.scatter clue) tx
-
 let prove_state_update t ~clue ~version =
   match Hashtbl.find_opt t.state_index clue with
   | None -> None
@@ -914,28 +879,17 @@ let verify_state_update t ~clue ~tx proof =
 
 (* --- time anchoring ----------------------------------------------------- *)
 
-let system_journal t kind payload_bytes =
-  let client_ts = Clock.now t.clock in
-  t.nonce <- t.nonce + 1;
-  let request_hash =
-    Journal.request_digest ~ledger_uri:(uri t)
-      ~kind_tag:(Journal.kind_tag kind) ~payload:payload_bytes ~clues:[]
-      ~client_ts ~nonce:t.nonce
+(* An LSP-signed system journal; [signers] co-sign it after the server
+   stamp (purge and occult need their multi-signature). *)
+let system_journal t ?(signers = []) kind payload =
+  let ((_, _, request_hash, _) as request) =
+    sign_request t ~kind ~priv:t.lsp_priv ~pub:t.lsp_pub ~payload ~clues:[] ()
   in
-  {
-    Journal.jsn = t.count;
-    kind;
-    client_id = t.lsp_id;
-    payload = payload_bytes;
-    clues = [];
-    client_ts;
-    server_ts = Clock.now t.clock;
-    nonce = t.nonce;
-    request_hash;
-    client_sig =
-      Some (sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub request_hash);
-    cosigners = [];
-  }
+  let j =
+    journal_record t ~kind ~jsn:t.count ~client_id:t.lsp_id ~payload ~clues:[]
+      request
+  in
+  { j with Journal.cosigners = cosign t signers request_hash }
 
 let anchor_via_t_ledger t =
   match t.t_ledger with
@@ -956,7 +910,7 @@ let anchor_via_t_ledger t =
                  { entry_index = entry.T_ledger.index; client_ts; digest })
           in
           let j = system_journal t kind Bytes.empty in
-          ignore (commit_journal t j);
+          ignore (commit_batch t [ j ]);
           Metrics.incr "ledger_time_anchors_total";
           Log.info (fun m ->
               m "anchored commitment %s to T-Ledger entry %d"
@@ -971,7 +925,7 @@ let anchor_via_tsa t =
       let token = Tsa.pool_endorse pool digest in
       let kind = Journal.Time (Journal.Direct_tsa token) in
       let j = system_journal t kind Bytes.empty in
-      ignore (commit_journal t j);
+      ignore (commit_batch t [ j ]);
       Metrics.incr "ledger_time_anchors_total";
       j
 
@@ -982,6 +936,15 @@ let t_ledger t = t.t_ledger
 let tsa_pool t = t.tsa
 
 (* --- purge --------------------------------------------------------------- *)
+
+(* Physically erase a committed payload (purge, occult, replay of an
+   erased record).  The slot stays as a tombstone: its retained leaf and
+   metadata keep verification working. *)
+let erase_payload t jsn =
+  let s = slot t jsn in
+  Stream_store.erase t.journal_stream s.store_index;
+  t.slots.(jsn) <-
+    { s with journal = { s.journal with Journal.payload = Bytes.empty } }
 
 type purge_request = {
   upto_jsn : int;
@@ -1066,37 +1029,23 @@ let purge t ~request ~signers =
         }
       in
       let pg = system_journal t (Journal.Pseudo_genesis snapshot) Bytes.empty in
-      ignore (commit_journal t pg);
+      ignore (commit_batch t [ pg ]);
       let info =
         { Journal.purge_upto = upto_jsn; pseudo_genesis_jsn = pg_jsn;
           survivors = kept }
       in
-      let pj = system_journal t (Journal.Purge info) Bytes.empty in
-      (* gather the multi-signature over the purge journal's request *)
-      let cosigs =
-        List.map
-          (fun (m, p) ->
-            ( m.Roles.id,
-              sign_with_profile t ~priv:p ~pub:m.Roles.pub
-                pj.Journal.request_hash ))
-          signers
-      in
-      let pj = { pj with Journal.cosigners = cosigs } in
-      ignore (commit_journal t pj);
+      (* the purge journal carries the multi-signature of [signers] *)
+      let pj = system_journal t ~signers (Journal.Purge info) Bytes.empty in
+      ignore (commit_batch t [ pj ]);
       (* physical erasure *)
       for i = 0 to upto_jsn - 1 do
-        if not (List.mem i kept) && t.slots.(i).store_index >= 0 then begin
-          Stream_store.erase t.journal_stream t.slots.(i).store_index;
-          let s = t.slots.(i) in
-          t.slots.(i) <-
-            { s with journal = { s.journal with Journal.payload = Bytes.empty } }
-        end
+        if not (List.mem i kept) && t.slots.(i).store_index >= 0 then
+          erase_payload t i
       done;
       if erase_fam_nodes then begin
         let e, _ = Fam.epoch_of_jsn t.fam (upto_jsn - 1) in
         Fam.purge_epochs_before t.fam e
       end;
-      t.pseudo_genesis_jsn <- Some pg_jsn;
       seal_block t;
       publish t;
       notify_mutation t;
@@ -1142,28 +1091,14 @@ let occult t ~target_jsn ~mode ~signers ~reason =
     else begin
       let retained_hash = tx_hash_of t target_jsn in
       let kind = Journal.Occult { target_jsn; retained_hash } in
-      let j = system_journal t kind (Bytes.of_string reason) in
-      let cosigs =
-        List.map
-          (fun (m, p) ->
-            ( m.Roles.id,
-              sign_with_profile t ~priv:p ~pub:m.Roles.pub
-                j.Journal.request_hash ))
-          signers
-      in
-      let j = { j with Journal.cosigners = cosigs } in
-      ignore (commit_journal t j);
-      Bitmap_index.set t.occult_bits target_jsn;
+      let j = system_journal t ~signers kind (Bytes.of_string reason) in
+      ignore (commit_batch t [ j ]);
       Metrics.incr "ledger_occults_total";
       Log.info (fun m ->
           m "occulted journal %d (%s)" target_jsn
             (match mode with Sync -> "sync" | Async -> "async"));
       (match mode with
-      | Sync ->
-          let s = slot t target_jsn in
-          Stream_store.erase t.journal_stream s.store_index;
-          t.slots.(target_jsn) <-
-            { s with journal = { s.journal with Journal.payload = Bytes.empty } }
+      | Sync -> erase_payload t target_jsn
       | Async -> t.occult_pending <- target_jsn :: t.occult_pending);
       publish t;
       notify_mutation t;
@@ -1193,13 +1128,7 @@ let occult_by_clue t ~clue ~mode ~signers ~reason =
 
 let reorganize t =
   let n = List.length t.occult_pending in
-  List.iter
-    (fun jsn ->
-      let s = slot t jsn in
-      Stream_store.erase t.journal_stream s.store_index;
-      t.slots.(jsn) <-
-        { s with journal = { s.journal with Journal.payload = Bytes.empty } })
-    t.occult_pending;
+  List.iter (erase_payload t) t.occult_pending;
   t.occult_pending <- [];
   if n > 0 then begin
     publish t;
@@ -1356,6 +1285,45 @@ type load_report = {
   checkpoint : [ `Verified | `Partial ];
 }
 
+(* The line and frame writers of the layout above — its one definition,
+   shared by {!save} and {!Replica}'s staging. *)
+module Snapshot = struct
+  let hex b =
+    String.concat ""
+      (List.init (Bytes.length b) (fun i ->
+           Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+  let write_journal oc ~tx encoded =
+    let frame = Bytes.create (32 + Bytes.length encoded) in
+    Bytes.blit (Hash.to_bytes tx) 0 frame 0 32;
+    Bytes.blit encoded 0 frame 32 (Bytes.length encoded);
+    Framing.write oc frame
+
+  let write_member oc ?certificate (name, role, pub) =
+    Printf.fprintf oc "%s\t%s\t%s\t%s\n" role (hex pub)
+      (match certificate with Some c -> hex c | None -> "-")
+      name
+
+  let write_block oc (b : Block.t) =
+    Printf.fprintf oc "%d %d %d %s %s %s %s %s %Ld\n" b.Block.height
+      b.Block.start_jsn b.Block.count
+      (Hash.to_hex b.Block.prev_hash)
+      (Hash.to_hex b.Block.journal_commitment)
+      (Hash.to_hex b.Block.clue_root)
+      (Hash.to_hex b.Block.world_state_root)
+      (Hash.to_hex b.Block.tx_root)
+      b.Block.timestamp
+
+  let write_meta oc ~name ~size ~nonce ~commitment ~clue_root ~pseudo_genesis =
+    Printf.fprintf oc
+      "name=%s\nsize=%d\nnonce=%d\ncommitment=%s\nclue_root=%s\n\
+       pseudo_genesis=%s\n"
+      name size nonce
+      (if size = 0 then "" else Hash.to_hex commitment)
+      (Hash.to_hex clue_root)
+      (match pseudo_genesis with Some j -> string_of_int j | None -> "-")
+end
+
 let save t ~dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let in_dir f = Filename.concat dir f in
@@ -1375,51 +1343,30 @@ let save t ~dir =
             | Some p -> p
             | None -> Bytes.empty
         in
-        let j = { s.journal with Journal.payload = current_payload } in
-        let enc = Journal_codec.encode j in
-        let frame = Bytes.create (32 + Bytes.length enc) in
-        Bytes.blit (Hash.to_bytes s.tx) 0 frame 0 32;
-        Bytes.blit enc 0 frame 32 (Bytes.length enc);
-        Framing.write oc frame
+        Snapshot.write_journal oc ~tx:s.tx
+          (Journal_codec.encode
+             { s.journal with Journal.payload = current_payload })
       done);
   with_out "members.ldb" (fun oc ->
       List.iter
         (fun (m : Roles.member) ->
-          let hex b =
-            String.concat ""
-              (List.init (Bytes.length b) (fun i ->
-                   Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
-          in
-          let pub_hex = hex (Ecdsa.public_key_to_bytes m.Roles.pub) in
-          let cert_hex =
-            match Roles.certificate_of t.registry m.Roles.id with
-            | Some cert -> hex (Ecdsa.signature_to_bytes cert.Roles.signature)
-            | None -> "-"
-          in
-          Printf.fprintf oc "%s\t%s\t%s\t%s\n"
-            (Roles.role_to_string m.Roles.role)
-            pub_hex cert_hex m.Roles.name)
+          Snapshot.write_member oc
+            ?certificate:
+              (Option.map
+                 (fun cert -> Ecdsa.signature_to_bytes cert.Roles.signature)
+                 (Roles.certificate_of t.registry m.Roles.id))
+            ( m.Roles.name,
+              Roles.role_to_string m.Roles.role,
+              Ecdsa.public_key_to_bytes m.Roles.pub ))
         (Roles.members t.registry));
   with_out "blocks.ldb" (fun oc ->
-      List.iter
-        (fun (b : Block.t) ->
-          Printf.fprintf oc "%d %d %d %s %s %s %s %s %Ld\n" b.Block.height
-            b.Block.start_jsn b.Block.count
-            (Hash.to_hex b.Block.prev_hash)
-            (Hash.to_hex b.Block.journal_commitment)
-            (Hash.to_hex b.Block.clue_root)
-            (Hash.to_hex b.Block.world_state_root)
-            (Hash.to_hex b.Block.tx_root)
-            b.Block.timestamp)
-        (blocks t));
+      List.iter (Snapshot.write_block oc) (blocks t));
   with_out "survivors.ldb" (fun oc ->
       Stream_store.iter t.survival_stream (fun _ rec_ -> Framing.write oc rec_));
   with_out "meta.ldb" (fun oc ->
-      Printf.fprintf oc "name=%s\nsize=%d\nnonce=%d\ncommitment=%s\nclue_root=%s\npseudo_genesis=%s\n"
-        t.cfg.name t.count t.nonce
-        (if t.count = 0 then "" else Hash.to_hex (commitment t))
-        (Hash.to_hex (Cm_tree.root_hash t.cm))
-        (match t.pseudo_genesis_jsn with Some j -> string_of_int j | None -> "-"))
+      Snapshot.write_meta oc ~name:t.cfg.name ~size:t.count ~nonce:t.nonce
+        ~commitment:(commitment t) ~clue_root:(Cm_tree.root_hash t.cm)
+        ~pseudo_genesis:t.pseudo_genesis_jsn)
 
 let parse_meta path =
   let ic = open_in path in
@@ -1458,13 +1405,7 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
            b
          in
          match String.split_on_char '\t' line with
-         | role :: pub_hex :: rest ->
-             let cert_hex, name =
-               match rest with
-               | [ cert_hex; name ] -> (cert_hex, name)
-               | [ name ] -> ("-", name) (* legacy two-column format *)
-               | _ -> failwith "corrupt members record"
-             in
+         | [ role; pub_hex; cert_hex; name ] ->
              let role =
                match role with
                | "dba" -> Roles.Dba
@@ -1484,17 +1425,19 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
                  in
                  ignore (register_member t ?certificate ~name ~role pub)
              | None -> failwith ("corrupt member key for " ^ name))
-         | _ -> ()
+         | _ -> failwith "corrupt members record"
        done
      with End_of_file -> close_in ic);
     (* journals: replay with retained tx hashes, suppressing auto-seal.
        Each frame is CRC-checked before any byte reaches the codec; the
        first complete-but-invalid frame names the first bad jsn and
        refuses the snapshot, while a torn final frame (crash mid-save)
-       is recoverable when [recover] is set. *)
+       is recoverable when [recover] is set.  The decoded prefix then
+       goes through {!install}, the live commit path's installer. *)
     let torn_tail = ref false in
     let dropped_bytes = ref 0 in
     let torn_at = ref None in
+    let n = ref 0 and journals = ref [] and txs = ref [] in
     let ic = open_in_bin (in_dir "journals.ldb") in
     (try
        let continue = ref true in
@@ -1505,7 +1448,7 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
              failwith
                (Printf.sprintf
                   "journals.ldb: corrupt record at byte %d — first bad jsn %d"
-                  offset t.count)
+                  offset !n)
          | Framing.Torn { offset; dropped_bytes = db } ->
              if recover then begin
                torn_tail := true;
@@ -1518,12 +1461,12 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
                  (Printf.sprintf
                     "journals.ldb: torn tail after jsn %d (%d trailing bytes); \
                      recovery disabled"
-                    (t.count - 1) db)
+                    (!n - 1) db)
          | Framing.Record frame -> (
              if Bytes.length frame < 32 then
                failwith
                  (Printf.sprintf
-                    "journals.ldb: short record — first bad jsn %d" t.count);
+                    "journals.ldb: short record — first bad jsn %d" !n);
              let tx = Hash.of_bytes (Bytes.sub frame 0 32) in
              let enc = Bytes.sub frame 32 (Bytes.length frame - 32) in
              match Journal_codec.decode enc with
@@ -1531,49 +1474,23 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
                  failwith
                    (Printf.sprintf
                       "journals.ldb: undecodable record — first bad jsn %d"
-                      t.count)
-             | Some j when j.Journal.jsn <> t.count ->
+                      !n)
+             | Some j when j.Journal.jsn <> !n ->
                  failwith
                    (Printf.sprintf
                       "journals.ldb: record claims jsn %d in slot %d — first \
                        bad jsn %d"
-                      j.Journal.jsn t.count t.count)
+                      j.Journal.jsn !n !n)
              | Some j ->
-             ensure_slot_capacity t;
-             let store_index = Stream_store.append t.journal_stream j.Journal.payload in
-             let s = { journal = j; tx; store_index; request_hash = j.Journal.request_hash } in
-             t.slots.(t.count) <- s;
-             t.count <- t.count + 1;
-             ignore (Fam.append t.fam tx);
-             List.iter
-               (fun clue ->
-                 ignore (Cm_tree.insert t.cm ~clue tx);
-                 (match Hashtbl.find_opt t.clue_index clue with
-                 | Some sl -> Cm_tree_index.append sl j.Journal.jsn
-                 | None ->
-                     let sl = Cm_tree_index.create () in
-                     Cm_tree_index.append sl j.Journal.jsn;
-                     Hashtbl.replace t.clue_index clue sl);
-                 let leaf_index =
-                   Accumulator.append t.world_state
-                     (Hash.combine (Hash.scatter clue) tx)
-                 in
-                 match Hashtbl.find_opt t.state_index clue with
-                 | Some r -> r := leaf_index :: !r
-                 | None -> Hashtbl.replace t.state_index clue (ref [ leaf_index ]))
-               j.Journal.clues;
-             (match j.Journal.kind with
-             | Journal.Time _ -> t.time_journals <- j.Journal.jsn :: t.time_journals
-             | Journal.Occult { target_jsn; _ } ->
-                 Bitmap_index.set t.occult_bits target_jsn
-             | Journal.Pseudo_genesis _ ->
-                 t.pseudo_genesis_jsn <- Some j.Journal.jsn
-             | Journal.Normal | Journal.Purge _ -> ()))
+                 journals := j :: !journals;
+                 txs := tx :: !txs;
+                 incr n)
        done;
        close_in ic
      with e ->
        close_in_noerr ic;
        raise e);
+    ignore (install t (List.rev !journals) (List.rev !txs));
     (* a recovered torn tail is truncated off the file so the next
        save/load cycle starts from a sound prefix *)
     (match !torn_at with
@@ -1659,8 +1576,7 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
     for jsn = 0 to t.count - 1 do
       let s = t.slots.(jsn) in
       if not (Hash.equal (Journal.tx_hash s.journal) s.tx) then begin
-        if Bytes.length s.journal.Journal.payload = 0 then
-          Stream_store.erase t.journal_stream s.store_index
+        if Bytes.length s.journal.Journal.payload = 0 then erase_payload t jsn
         else
           failwith
             (Printf.sprintf

@@ -449,11 +449,42 @@ end
     ({!Ledger_storage.Framing}), so a load can tell a {e torn tail} (crash
     mid-save; the intact prefix is recoverable) from a {e corrupted
     record} (refused, naming the first bad jsn).  [load] replays the
-    journals through the same commit path and then checks the recorded
-    commitment and clue-root checkpoints, so a framing-valid but tampered
-    snapshot is still refused. *)
+    journals through the install step live commits use, so it rebuilds
+    every structure a commit maintains — fam, CM-Tree, cSL index,
+    world-state and the ordered {!query_index} — and a loaded ledger
+    (a {!Replica}, a salvaged shard) answers range scans exactly like
+    its source.  It then checks the recorded commitment and clue-root
+    checkpoints, so a framing-valid but tampered snapshot is still
+    refused. *)
 
 val save : t -> dir:string -> unit
+
+(** The snapshot's line and frame writers — the one definition of the
+    file formats, shared by {!save} and {!Replica}'s staging. *)
+module Snapshot : sig
+  val write_journal : out_channel -> tx:Hash.t -> bytes -> unit
+  (** One [journals.ldb] frame: the retained leaf [tx], then the
+      {!Journal_codec} encoding. *)
+
+  val write_member :
+    out_channel -> ?certificate:bytes -> string * string * bytes -> unit
+  (** One [members.ldb] line from the wire form [(name, role, public
+      key)]; without a [certificate] the column reads [-]. *)
+
+  val write_block : out_channel -> Block.t -> unit
+  (** One [blocks.ldb] line. *)
+
+  val write_meta :
+    out_channel ->
+    name:string ->
+    size:int ->
+    nonce:int ->
+    commitment:Hash.t ->
+    clue_root:Hash.t ->
+    pseudo_genesis:int option ->
+    unit
+  (** The [meta.ldb] checkpoints the loader must reproduce. *)
+end
 
 type load_report = {
   replayed : int;  (** journals actually replayed *)

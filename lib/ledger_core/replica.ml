@@ -196,15 +196,7 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
           (Service.Client.make_get_members ())
       in
       with_out "members.ldb" (fun oc ->
-          List.iter
-            (fun (member_name, role, pub) ->
-              let hex =
-                String.concat ""
-                  (List.init (Bytes.length pub) (fun i ->
-                       Printf.sprintf "%02x" (Char.code (Bytes.get pub i))))
-              in
-              Printf.fprintf oc "%s\t%s\t%s\n" role hex member_name)
-            members);
+          List.iter (Ledger.Snapshot.write_member oc) members);
       (* 3. every journal not already staged, with its retained leaf.
          Frames match Ledger's snapshot format so the loader replays and
          re-verifies them; an interrupted loop leaves a resumable
@@ -221,10 +213,7 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
                 (Service.Client.make_get_journal ~jsn)
             in
             with_out ~append:true "journals.ldb" (fun oc ->
-                let frame = Bytes.create (32 + Bytes.length encoded) in
-                Bytes.blit (Hash.to_bytes tx) 0 frame 0 32;
-                Bytes.blit encoded 0 frame 32 (Bytes.length encoded);
-                Framing.write oc frame);
+                Ledger.Snapshot.write_journal oc ~tx encoded);
             go (jsn + 1)
         in
         go resumed_from
@@ -240,14 +229,7 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
                 (function Service.Block_r b -> Some b | _ -> None)
                 (Service.Client.make_get_block ~height)
             in
-            Printf.fprintf oc "%d %d %d %s %s %s %s %s %Ld\n" b.Block.height
-              b.Block.start_jsn b.Block.count
-              (Hash.to_hex b.Block.prev_hash)
-              (Hash.to_hex b.Block.journal_commitment)
-              (Hash.to_hex b.Block.clue_root)
-              (Hash.to_hex b.Block.world_state_root)
-              (Hash.to_hex b.Block.tx_root)
-              b.Block.timestamp;
+            Ledger.Snapshot.write_block oc b;
             go (height + 1)
         in
         go 0
@@ -256,12 +238,8 @@ let pull_verbose ~transport ?(policy = Transport.default_policy)
       (* 5. checkpoint metadata; the loader re-derives everything and
          compares against these values *)
       with_out "meta.ldb" (fun oc ->
-          Printf.fprintf oc
-            "name=%s\nsize=%d\nnonce=%d\ncommitment=%s\nclue_root=%s\npseudo_genesis=%s\n"
-            name size nonce
-            (if size = 0 then "" else Hash.to_hex commitment)
-            (Hash.to_hex clue_root)
-            (match pseudo_genesis with Some j -> string_of_int j | None -> "-"));
+          Ledger.Snapshot.write_meta oc ~name ~size ~nonce ~commitment
+            ~clue_root ~pseudo_genesis);
       with_out "survivors.ldb" (fun _ -> () (* not replicated *));
       match
         (* π_c screen before any replay state is built; a poisoned

@@ -72,30 +72,26 @@ let ensure_capacity s =
     s.records <- bigger
   end
 
-let append s payload =
-  stream_alive s;
+(* One record onto the end of a live stream: the step both {!append}
+   and {!append_many} take per payload. *)
+let push s payload =
   ensure_capacity s;
-  let i = s.count in
-  s.records.(i) <- { payload = Some (Bytes.copy payload) };
+  s.records.(s.count) <- { payload = Some (Bytes.copy payload) };
   s.count <- s.count + 1;
   s.live_bytes <- s.live_bytes + Bytes.length payload;
   Ledger_obs.Metrics.incr "storage_appends_total";
-  Ledger_obs.Metrics.observe_int "storage_record_bytes" (Bytes.length payload);
+  Ledger_obs.Metrics.observe_int "storage_record_bytes" (Bytes.length payload)
+
+let append s payload =
+  stream_alive s;
+  let i = s.count in
+  push s payload;
   i
 
 let append_many s payloads =
   stream_alive s;
   let first = s.count in
-  List.iter
-    (fun payload ->
-      ensure_capacity s;
-      s.records.(s.count) <- { payload = Some (Bytes.copy payload) };
-      s.count <- s.count + 1;
-      s.live_bytes <- s.live_bytes + Bytes.length payload;
-      Ledger_obs.Metrics.incr "storage_appends_total";
-      Ledger_obs.Metrics.observe_int "storage_record_bytes"
-        (Bytes.length payload))
-    payloads;
+  List.iter (push s) payloads;
   Ledger_obs.Metrics.incr "storage_batch_appends_total";
   first
 

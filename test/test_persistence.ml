@@ -13,7 +13,7 @@ let fresh_dir () =
   Sys.remove d;
   d
 
-let build () =
+let build ?(anchor = true) () =
   let clock = Clock.create () in
   let pool = Tsa.pool [ Tsa.create ~endorse_rtt_ms:1. ~clock "t" ] in
   let tl = T_ledger.create ~clock ~tsa:pool () in
@@ -33,7 +33,10 @@ let build () =
           (Bytes.of_string (Printf.sprintf "record %d" i)))
   in
   Clock.advance_ms clock 1100.;
-  (match Ledger.anchor_via_t_ledger ledger with Ok _ -> () | Error _ -> assert false);
+  (if anchor then
+     match Ledger.anchor_via_t_ledger ledger with
+     | Ok _ -> ()
+     | Error _ -> assert false);
   (ledger, config, receipts, (user, key), (dba, dba_key), (reg, reg_key), (tl, pool, clock))
 
 (* The T-Ledger and TSA pool are public services that outlive the ledger
@@ -46,6 +49,21 @@ let reload ?config (tl, pool, clock) dir =
           fam_delta = 3; crypto = Crypto_profile.default_simulated }
   in
   Ledger.load ~config ~t_ledger:tl ~tsa:pool ~clock ~dir ()
+
+(* A reloaded ledger must answer range scans exactly like the original:
+   same ordered-index root, same prefix page (rows and proof). *)
+let check_same_scans ledger restored =
+  Alcotest.(check string) "query root preserved"
+    (Hash.to_hex (Ledger.query_root ledger))
+    (Hash.to_hex (Ledger.query_root restored));
+  let scan l =
+    Ledger_query.Range_query.page (Ledger.query_index l)
+      ~spec:(Ledger_query.Range_query.Prefix "c") ~page_size:8 ()
+  in
+  let page = scan ledger in
+  Alcotest.(check int) "prefix scan finds both clues" 2
+    (List.length page.Ledger_query.Range_query.rows);
+  Alcotest.(check bool) "prefix page preserved" true (page = scan restored)
 
 let test_roundtrip () =
   let ledger, config, receipts, _, _, _, notary = build () in
@@ -63,6 +81,7 @@ let test_roundtrip () =
         (Option.map Bytes.to_string (Ledger.payload restored 5));
       Alcotest.(check int) "clue index rebuilt" 7
         (Ledger.clue_entries restored "c1");
+      check_same_scans ledger restored;
       (* proofs still verify on the restored ledger *)
       let p = Ledger.get_proof restored 9 in
       Alcotest.(check bool) "existence proof" true
@@ -120,6 +139,7 @@ let test_roundtrip_with_mutations () =
         (Option.map Bytes.to_string (Ledger.read_survivor restored 4));
       Alcotest.(check bool) "pseudo genesis restored" true
         (Ledger.pseudo_genesis restored <> None);
+      check_same_scans ledger restored;
       (* the restored ledger still passes a Dasein audit *)
       let report = Audit.run restored in
       if not report.Audit.ok then
@@ -151,6 +171,20 @@ let test_load_refuses_tampered_snapshot () =
   let oc = open_out_bin path in
   output_bytes oc original;
   close_out oc;
+  (* a member line missing its certificate column is refused too *)
+  let members = Filename.concat dir "members.ldb" in
+  let ic = open_in members in
+  let line = input_line ic in
+  close_in ic;
+  let oc = open_out members in
+  (match String.split_on_char '\t' line with
+  | [ role; pub; _cert; name ] ->
+      output_string oc (String.concat "\t" [ role; pub; name ] ^ "\n")
+  | _ -> Alcotest.fail "members.ldb line should have four columns");
+  close_out oc;
+  (match reload ~config notary dir with
+  | Ok _ -> Alcotest.fail "three-column member line accepted"
+  | Error _ -> ());
   (* missing directory errors cleanly *)
   match reload ~config notary (fresh_dir ()) with
   | Ok _ -> Alcotest.fail "missing snapshot accepted"
@@ -262,6 +296,11 @@ let test_torn_tail_recovery_report () =
       Alcotest.(check (option string)) "prefix payload intact"
         (Some "record 0")
         (Option.map Bytes.to_string (Ledger.payload restored 0));
+      (* the salvaged prefix serves the scans of a ledger that only ever
+         appended that prefix *)
+      let prefix, _, _, _, _, _, _ = build ~anchor:false () in
+      Alcotest.(check int) "fresh prefix size" (size - 1) (Ledger.size prefix);
+      check_same_scans prefix restored;
       (* a re-save of the recovered prefix loads strictly again *)
       let dir2 = fresh_dir () in
       Ledger.save restored ~dir:dir2;

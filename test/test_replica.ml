@@ -52,6 +52,9 @@ let test_pull_and_audit () =
         (Hash.equal (Ledger.commitment remote) (Ledger.commitment replica));
       Alcotest.(check bool) "blocks match" true
         (Ledger.block_count remote = Ledger.block_count replica);
+      Alcotest.(check string) "same query index root"
+        (Hash.to_hex (Ledger.query_root remote))
+        (Hash.to_hex (Ledger.query_root replica));
       (* the auditor audits the *replica*, never touching the remote *)
       let report = Audit.run replica in
       Alcotest.(check bool) "replica audit passes" true report.Audit.ok;
