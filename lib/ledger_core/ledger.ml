@@ -103,9 +103,6 @@ type t = {
   mutable pseudo_genesis_jsn : int option;
   mutable survivor_jsns : int list;
   mutable nonce : int;
-  mutable on_mutate : (unit -> unit) list;
-      (* fired after purge/occult/reorganize — lets verification caches
-         drop verdicts whose underlying data may have been erased *)
   view : view option Atomic.t;
       (* current read snapshot; [None] only transiently inside [create] *)
   mutable view_epoch : int; (* next publication epoch (writer-only) *)
@@ -208,16 +205,12 @@ let create ?(config = default_config) ?t_ledger ?tsa ~clock () =
     pseudo_genesis_jsn = None;
     survivor_jsns = [];
     nonce = 0;
-    on_mutate = [];
     view = Atomic.make None;
     view_epoch = 0;
   }
   in
   publish t;
   t
-
-let on_mutate t f = t.on_mutate <- f :: t.on_mutate
-let notify_mutation t = List.iter (fun f -> f ()) t.on_mutate
 
 let config t = t.cfg
 let clock t = t.clock
@@ -1048,7 +1041,6 @@ let purge t ~request ~signers =
       end;
       seal_block t;
       publish t;
-      notify_mutation t;
       Metrics.incr "ledger_purges_total";
       Log.info (fun m ->
           m "purged journals [0,%d) with %d survivors; pseudo-genesis at %d"
@@ -1101,7 +1093,6 @@ let occult t ~target_jsn ~mode ~signers ~reason =
       | Sync -> erase_payload t target_jsn
       | Async -> t.occult_pending <- target_jsn :: t.occult_pending);
       publish t;
-      notify_mutation t;
       Ok j
     end
   end
@@ -1130,10 +1121,7 @@ let reorganize t =
   let n = List.length t.occult_pending in
   List.iter (erase_payload t) t.occult_pending;
   t.occult_pending <- [];
-  if n > 0 then begin
-    publish t;
-    notify_mutation t
-  end;
+  if n > 0 then publish t;
   n
 
 (* --- introspection --------------------------------------------------------- *)

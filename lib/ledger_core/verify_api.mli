@@ -46,23 +46,23 @@ val spec_str : Ledger_query.Range_query.spec -> string
 (** Short human-readable rendering of a query spec (audit subjects,
     outcome printing). *)
 
-val cache_key : level:level -> target -> (int * string) option
-(** The memoization key [(jsn, verifier-question)] for a target, or
-    [None] for targets that must always replay (clue lineages).  The
-    verifier string pins the whole question — level, target kind and
-    auxiliary digests — so two different questions never collide.
-    Exposed for layers that key verdicts under a different trust root
-    (the sharded engine keys by super-root). *)
+val level_str : level -> string
+(** ["server"] or ["client"] — the audit-log verifier label. *)
 
-val verify : ?cache:Verify_cache.t -> Ledger.t -> level:level -> target -> outcome
-(** With [cache], existence and receipt verdicts are memoized per
-    (current commitment, jsn, question) and redundant proof replays are
-    skipped; clue targets always replay.  The cache MUST be
-    {!Verify_cache.attach}ed to the ledger — commitment-keying alone
-    cannot see {!Ledger.reorganize}'s payload erasure, which changes
-    verdicts without appending a journal.  Outcomes (the [ok] field)
-    are identical with and without a cache; only [detail] reveals a
-    hit. *)
+val check : Ledger.t -> level:level -> target -> outcome
+(** The verdict step: replay the proof (or, at [Server] level, the
+    in-place check) against the ledger's current state.  Writes no
+    audit-log entry, so composing layers record exactly one. *)
+
+val verify : Ledger.t -> level:level -> target -> outcome
+(** {!check}, then one audit-log entry under the verifier
+    {!level_str}[ level] when observability is enabled.  Every call
+    replays its proof: a verdict is never reused, so tampering with
+    stored journals shows up on the next call. *)
+
+val record : verifier:string -> outcome -> unit
+(** Append the outcome to the audit log under [verifier] (no-op while
+    observability is disabled). *)
 
 val verify_all : Ledger.t -> level:level -> target list -> outcome list * bool
 (** All targets; the conjunction is the second component (any failure

@@ -49,7 +49,7 @@ val coverage_where : verifier_prefix:string -> ledger_size:int -> coverage
 (** Like {!coverage} but counting only entries whose [verifier] string
     starts with [verifier_prefix] — the per-shard breakdown behind
     [ledgerdb_cli stats] (sharded verifiers embed their shard, e.g.
-    ["client@shard3"]), where [ledger_size] is that shard's size and
+    ["shard3:client"]), where [ledger_size] is that shard's size and
     jsns are shard-local. *)
 
 val subject_to_string : subject -> string

@@ -57,10 +57,6 @@ val shard : t -> int -> Ledger.t
 (** @raise Invalid_argument if out of range. *)
 
 val shard_clock : t -> int -> Clock.t
-val shard_cache : t -> int -> Verify_cache.t
-(** The shard's verdict cache, already {!Verify_cache.attach}ed to the
-    shard's mutation feed: purge/occult on one shard drops only that
-    shard's verdicts. *)
 
 val fleet_clock : t -> Clock.t
 val total_size : t -> int
@@ -78,8 +74,7 @@ val service_public_key : t -> Ecdsa.public_key
 val replace_shard : t -> int -> ledger:Ledger.t -> clock:Clock.t -> unit
 (** Swap in a repaired shard kernel (rebuilt by
     {!Ledger_core.Replica.pull_verbose} from a healthy replica) together
-    with the clock it was rebuilt on.  A fresh verdict cache is created
-    and attached; the old shard state is dropped.
+    with the clock it was rebuilt on; the old shard state is dropped.
     @raise Invalid_argument if out of range. *)
 
 val new_member :

@@ -187,80 +187,7 @@ let test_large_batch_edge () =
   let audit = Audit.run b in
   Alcotest.(check bool) "batched ledger passes audit" true audit.Audit.ok
 
-(* --- batcher delay-policy boundaries --------------------------------------- *)
-
-(* diff_config charges nothing for latency or crypto, so the clock moves
-   only when the test advances it — the deadline comparisons below are
-   exact, not approximate. *)
-
-let test_flush_exactly_at_deadline () =
-  let clock, ledger, user, key = mk_ledger () in
-  let b =
-    Batcher.create
-      ~policy:{ Batcher.max_entries = 100; max_delay_us = 1000L;
-                seal_on_flush = false }
-      ledger ~member:user ~priv:key
-  in
-  Alcotest.(check int) "submit buffers" 0
-    (List.length (Batcher.submit b (payload_of 0)));
-  Clock.advance clock 999L;
-  Alcotest.(check int) "one tick before the deadline: nothing" 0
-    (List.length (Batcher.tick b));
-  Clock.advance clock 1L;
-  Alcotest.(check int) "exactly at the deadline: flushed" 1
-    (List.length (Batcher.tick b));
-  Alcotest.(check int) "buffer drained" 0 (Batcher.pending b)
-
-let test_zero_delay_policy () =
-  let _, ledger, user, key = mk_ledger () in
-  let b =
-    Batcher.create
-      ~policy:{ Batcher.max_entries = 100; max_delay_us = 0L;
-                seal_on_flush = false }
-      ledger ~member:user ~priv:key
-  in
-  (* a zero delay bound degenerates to unbatched commits: every submit
-     flushes immediately, nothing ever waits *)
-  for i = 0 to 4 do
-    Alcotest.(check int)
-      (Printf.sprintf "submit %d flushes itself" i)
-      1
-      (List.length (Batcher.submit b (payload_of i)));
-    Alcotest.(check int) "nothing pending" 0 (Batcher.pending b)
-  done;
-  Alcotest.(check int) "five one-entry flushes" 5 (Batcher.flushes b)
-
-let test_close_drains_buffer () =
-  let _, ledger, user, key = mk_ledger () in
-  let b =
-    Batcher.create
-      ~policy:{ Batcher.max_entries = 10; max_delay_us = Int64.max_int;
-                seal_on_flush = false }
-      ledger ~member:user ~priv:key
-  in
-  for i = 0 to 2 do
-    ignore (Batcher.submit b (payload_of i))
-  done;
-  Alcotest.(check int) "three buffered" 3 (Batcher.pending b);
-  Alcotest.(check int) "close drains all three" 3
-    (List.length (Batcher.close b));
-  Alcotest.(check int) "ledger committed them" 3 (Ledger.size ledger);
-  Alcotest.(check int) "second close is empty" 0
-    (List.length (Batcher.close b));
-  Alcotest.check_raises "submit after close refused"
-    (Invalid_argument "Batcher.submit: batcher is closed") (fun () ->
-      ignore (Batcher.submit b (payload_of 9)));
-  Alcotest.check_raises "tick after close refused"
-    (Invalid_argument "Batcher.tick: batcher is closed") (fun () ->
-      ignore (Batcher.tick b))
-
 let suite =
   [ QCheck_alcotest.to_alcotest prop_batched_equals_unbatched;
     Alcotest.test_case "large batch spans blocks and epochs" `Quick
-      test_large_batch_edge;
-    Alcotest.test_case "batcher flushes exactly at the deadline" `Quick
-      test_flush_exactly_at_deadline;
-    Alcotest.test_case "zero-delay policy never buffers" `Quick
-      test_zero_delay_policy;
-    Alcotest.test_case "close drains the buffer" `Quick
-      test_close_drains_buffer ]
+      test_large_batch_edge ]

@@ -104,13 +104,30 @@ let test_verify_api_batch () =
 
 let test_verify_api_detects_repudiation () =
   let _, ledger, receipts, _, _ = make_ledger () in
+  let existence ?payload_digest level jsn =
+    (Verify_api.verify ledger ~level
+       (Verify_api.Existence { jsn; payload_digest }))
+      .Verify_api.ok
+  in
+  Alcotest.(check bool) "client existence before rewrite" true
+    (existence Verify_api.Client 0);
   Ledger.Unsafe.rewrite_payload_consistent ledger ~jsn:0
     (Bytes.of_string "rewritten");
+  Alcotest.(check bool) "client existence refused after rewrite" false
+    (existence Verify_api.Client 0);
   let o =
     Verify_api.verify ledger ~level:Verify_api.Client
       (Verify_api.Receipt_check (List.nth receipts 0))
   in
-  Alcotest.(check bool) "receipt check fails after rewrite" false o.Verify_api.ok
+  Alcotest.(check bool) "receipt check fails after rewrite" false o.Verify_api.ok;
+  (* a naive rewrite leaves every hash alone; the server-side replay of
+     the leaf still sees it *)
+  let original = Hash.digest_bytes (Bytes.of_string "v2") in
+  Alcotest.(check bool) "server existence before naive rewrite" true
+    (existence ~payload_digest:original Verify_api.Server 2);
+  Ledger.Unsafe.rewrite_payload ledger ~jsn:2 (Bytes.of_string "tampered");
+  Alcotest.(check bool) "server existence refused after naive rewrite" false
+    (existence ~payload_digest:original Verify_api.Server 2)
 
 (* --- Ledger_client ---------------------------------------------------------- *)
 

@@ -244,6 +244,15 @@ let test_occult_sync () =
   (* other journals untouched *)
   Alcotest.(check bool) "others intact" true (Ledger.payload env.ledger 4 <> None)
 
+(* Server-level existence of [jsn] bound to its original payload digest. *)
+let server_existence env jsn =
+  let payload_digest =
+    Some (Hash.digest_bytes (Bytes.of_string (Printf.sprintf "payload %d" jsn)))
+  in
+  (Verify_api.verify env.ledger ~level:Verify_api.Server
+     (Verify_api.Existence { jsn; payload_digest }))
+    .Verify_api.ok
+
 let test_occult_async_and_reorganize () =
   let env = make_env () in
   ignore (fill env 10);
@@ -257,8 +266,12 @@ let test_occult_async_and_reorganize () =
   (* async: payload physically present until reorganization *)
   Alcotest.(check bool) "payload still on disk" true
     (Ledger.payload env.ledger 2 <> None);
+  Alcotest.(check bool) "payload digest verifies before erasure" true
+    (server_existence env 2);
   Alcotest.(check int) "reorganize erases one" 1 (Ledger.reorganize env.ledger);
   Alcotest.(check bool) "payload erased" true (Ledger.payload env.ledger 2 = None);
+  Alcotest.(check bool) "payload digest refused after erasure" false
+    (server_existence env 2);
   Alcotest.(check int) "reorganize idempotent" 0 (Ledger.reorganize env.ledger)
 
 let test_occult_prerequisites () =
@@ -305,6 +318,8 @@ let purge_signers env upto =
 let test_purge () =
   let env = make_env () in
   ignore (fill env 20);
+  Alcotest.(check bool) "payload digest verifies before purge" true
+    (server_existence env 3);
   let request = { Ledger.upto_jsn = 10; survivors = [ 4 ]; erase_fam_nodes = true } in
   (match Ledger.purge env.ledger ~request ~signers:(purge_signers env 10) with
   | Ok pj -> (
@@ -324,6 +339,8 @@ let test_purge () =
   | Error e -> Alcotest.fail e);
   (* purged payloads gone, survivor retrievable *)
   Alcotest.(check bool) "purged payload gone" true (Ledger.payload env.ledger 3 = None);
+  Alcotest.(check bool) "payload digest refused after purge" false
+    (server_existence env 3);
   Alcotest.(check (option string)) "survivor kept" (Some "payload 4")
     (Option.map Bytes.to_string (Ledger.read_survivor env.ledger 4));
   Alcotest.(check (list int)) "survival stream" [ 4 ] (Ledger.survival_jsns env.ledger);
