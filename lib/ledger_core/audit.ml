@@ -38,27 +38,13 @@ type ctx = {
   mutable blocks : int;
 }
 
-let factor_to_string_early = function
-  | What -> "what"
-  | When -> "when"
-  | Who -> "who"
-  | Chain -> "chain"
-
 let fail ctx ?jsn factor message =
   Log.warn (fun m ->
       m "[%s]%s %s"
-        (factor_to_string_early factor)
+        (factor_to_string factor)
         (match jsn with Some j -> Printf.sprintf " jsn=%d" j | None -> "")
         message);
   ctx.failures <- { jsn; factor; message } :: ctx.failures
-
-(* Recompute the tx-hash of a journal from its stored content.  For an
-   occulted journal (payload gone) Protocol 2 applies: the retained hash —
-   which the ledger keeps as the accumulator leaf — stands in. *)
-let recomputed_tx ctx (j : Journal.t) =
-  if Ledger.is_occulted ctx.ledger j.Journal.jsn then
-    Ledger.tx_hash_of ctx.ledger j.Journal.jsn
-  else Journal.tx_hash j
 
 (* --- who ----------------------------------------------------------------- *)
 
@@ -148,16 +134,9 @@ let who_pass ctx receipts =
   List.iter
     (fun (r : Receipt.t) ->
       ctx.signatures <- ctx.signatures + 1;
-      if not (Ledger.verify_receipt ctx.ledger r) then
-        fail ctx ~jsn:r.Receipt.jsn Who "receipt: LSP signature invalid"
-      else if
-        r.Receipt.jsn < Ledger.size ctx.ledger
-        && not
-             (Hash.equal r.Receipt.tx_hash
-                (Ledger.tx_hash_of ctx.ledger r.Receipt.jsn))
-      then
-        fail ctx ~jsn:r.Receipt.jsn Who
-          "receipt: tx-hash no longer matches the ledger (repudiation)")
+      let o = Verify_api.check ctx.ledger ~level:Server (Receipt_check r) in
+      if not o.Verify_api.ok then
+        fail ctx ~jsn:r.Receipt.jsn Who ("receipt: " ^ o.Verify_api.detail))
     receipts
 
 (* --- when ---------------------------------------------------------------- *)
@@ -243,7 +222,7 @@ let what_replay ctx =
             "replay: T-Ledger-anchored digest diverges from reconstruction"
     | Journal.Normal | Journal.Purge _ | Journal.Occult _
     | Journal.Pseudo_genesis _ -> ());
-    let tx = recomputed_tx ctx j in
+    let tx = Verify_api.recomputed_tx ctx.ledger j in
     if not (Hash.equal tx (Ledger.tx_hash_of ctx.ledger jsn)) then
       fail ctx ~jsn What "replay: recomputed tx-hash differs from ledger leaf";
     ignore (Fam.append replay tx)
@@ -257,7 +236,7 @@ let what_replay ctx =
 let what_by_proofs ctx =
   for jsn = ctx.from_jsn to ctx.upto_jsn - 1 do
     let j = Ledger.journal ctx.ledger jsn in
-    let tx = recomputed_tx ctx j in
+    let tx = Verify_api.recomputed_tx ctx.ledger j in
     if not (Hash.equal tx (Ledger.tx_hash_of ctx.ledger jsn)) then
       fail ctx ~jsn What "proofs: recomputed tx-hash differs from ledger leaf";
     let proof = Ledger.get_proof ctx.ledger jsn in

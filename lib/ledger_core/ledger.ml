@@ -651,24 +651,12 @@ let append_signed_batch ?(pool = Domain_pool.default ()) t ~member_id entries =
 let get_receipt t jsn = make_receipt t (slot t jsn)
 
 let verify_receipt t (r : Receipt.t) =
-  let sp = Trace.enter "verify.receipt" in
-  Trace.attr_int sp "jsn" r.Receipt.jsn;
-  let t0 = if Obs.enabled () then Clock.now t.clock else 0L in
   let digest =
     Receipt.signing_digest ~jsn:r.Receipt.jsn ~request_hash:r.Receipt.request_hash
       ~tx_hash:r.Receipt.tx_hash ~block_hash:r.Receipt.block_hash
       ~timestamp:r.Receipt.timestamp
   in
-  let ok = verify_with_profile t ~pub:t.lsp_pub digest r.Receipt.lsp_sig in
-  if Obs.enabled () then begin
-    Metrics.observe "verify_latency_us"
-      (Int64.to_float (Int64.sub (Clock.now t.clock) t0));
-    Audit_log.record ~verifier:"server" (Receipt r.Receipt.jsn)
-      (if ok then Audit_log.Verified
-       else Audit_log.Repudiated "bad LSP signature on receipt")
-  end;
-  Trace.exit sp;
-  ok
+  verify_with_profile t ~pub:t.lsp_pub digest r.Receipt.lsp_sig
 
 (* --- existence verification -------------------------------------------- *)
 
@@ -690,46 +678,26 @@ let prove_instrumented fam jsn =
 let get_proof t jsn = prove_instrumented t.fam jsn
 
 let verify_existence t ~jsn ~payload_digest proof =
-  let sp = Trace.enter "verify.existence" in
-  Trace.attr_int sp "jsn" jsn;
-  let t0 = if Obs.enabled () then Clock.now t.clock else 0L in
-  let ok =
-    jsn >= 0 && jsn < t.count
-    &&
-    let leaf = tx_hash_of t jsn in
-    Fam.verify ~commitment:(commitment t) ~leaf proof
-    &&
-    match payload_digest with
-    | None -> true
-    | Some d -> (
-        match payload t jsn with
-        | Some p -> Hash.equal (Hash.digest_bytes p) d
-        | None -> false)
-  in
-  if Obs.enabled () then begin
-    Metrics.observe "verify_latency_us"
-      (Int64.to_float (Int64.sub (Clock.now t.clock) t0));
-    Audit_log.record ~verifier:"server" (Journal jsn)
-      (if ok then Audit_log.Verified
-       else Audit_log.Repudiated "existence proof failed")
-  end;
-  Trace.exit sp;
-  ok
+  jsn >= 0 && jsn < t.count
+  &&
+  let leaf = tx_hash_of t jsn in
+  Fam.verify ~commitment:(commitment t) ~leaf proof
+  &&
+  match payload_digest with
+  | None -> true
+  | Some d -> (
+      match payload t jsn with
+      | Some p -> Hash.equal (Hash.digest_bytes p) d
+      | None -> false)
 
 let make_anchor t = Fam.make_anchor t.fam
 
 let prove_extension t ~old_size = Fam.prove_extension t.fam ~old_size
 
 let verify_extension t ~old_size ~old_peaks proof =
-  let ok =
-    Fam.verify_extension ~delta:t.cfg.fam_delta ~old_size ~old_peaks
-      ~new_size:t.count ~new_commitment:(commitment t) proof
-  in
-  Audit_log.record ~verifier:"server"
-    (Extension { old_size; new_size = t.count })
-    (if ok then Audit_log.Verified
-     else Audit_log.Repudiated "extension proof failed");
-  ok
+  Fam.verify_extension ~delta:t.cfg.fam_delta ~old_size ~old_peaks
+    ~new_size:t.count ~new_commitment:(commitment t) proof
+
 let get_proof_anchored t anchor jsn = Fam.prove_anchored t.fam anchor jsn
 
 let verify_anchored t anchor ~leaf proof =
@@ -757,21 +725,19 @@ let prove_clue t ~clue ?first ?last () =
   Cm_tree.prove_clue t.cm ~clue ?first ?last ()
 
 let verify_clue_client t (proof : Cm_tree.clue_proof) =
-  (* The client retrieves the journals in range, recomputes digests, and
-     replays both layers against the latest committed clue root. *)
-  let jsns = clue_jsns t proof.Cm_tree.clue in
+  (* The client retrieves the journals in range and replays both layers
+     against the latest committed clue root.  Each retrieval is charged;
+     the digest is the retained tx-hash either way, which is what
+     Protocol 2 uses for an occulted journal. *)
   let first, last = proof.Cm_tree.version_range in
-  let known = ref [] and ok = ref true in
+  let known = ref [] in
   List.iteri
     (fun version jsn ->
       if version >= first && version <= last then begin
-        match payload t jsn with
-        | Some _ -> known := (version, tx_hash_of t jsn) :: !known
-        | None ->
-            (* occulted journal: Protocol 2 — use the retained hash *)
-            known := (version, tx_hash_of t jsn) :: !known
+        ignore (payload t jsn);
+        known := (version, tx_hash_of t jsn) :: !known
       end)
-    jsns;
+    (clue_jsns t proof.Cm_tree.clue);
   let root =
     match t.blocks with
     | b :: _ -> b.Block.clue_root
@@ -779,25 +745,14 @@ let verify_clue_client t (proof : Cm_tree.clue_proof) =
   in
   (* If the trie advanced since the last sealed block, fall back to the
      live root (a real client would request a fresh block commit). *)
-  let live_root = Cm_tree.root_hash t.cm in
-  let result =
-    !ok
-    && (Cm_tree.verify_clue ~root:live_root ~known:!known proof
-       || Cm_tree.verify_clue ~root ~known:!known proof)
-  in
-  Audit_log.record ~verifier:"client" (Clue proof.Cm_tree.clue)
-    (if result then Audit_log.Verified
-     else Audit_log.Repudiated "clue proof failed");
-  result
+  Cm_tree.verify_clue ~root:(Cm_tree.root_hash t.cm) ~known:!known proof
+  || Cm_tree.verify_clue ~root ~known:!known proof
 
 let verify_clue_server t ~clue =
-  let jsns = clue_jsns t clue in
-  let known = List.mapi (fun version jsn -> (version, tx_hash_of t jsn)) jsns in
-  let ok = known <> [] && Cm_tree.verify_clue_server t.cm ~known ~clue in
-  Audit_log.record ~verifier:"server" (Clue clue)
-    (if ok then Audit_log.Verified
-     else Audit_log.Repudiated "server clue replay failed");
-  ok
+  let known =
+    List.mapi (fun version jsn -> (version, tx_hash_of t jsn)) (clue_jsns t clue)
+  in
+  known <> [] && Cm_tree.verify_clue_server t.cm ~known ~clue
 
 (* ListTx (§IV-A): filtered journal retrieval. *)
 type tx_filter = {

@@ -233,9 +233,15 @@ val get_receipt : t -> int -> Receipt.t
 (** Final receipt for a jsn (re-signed with the block hash once the block
     is sealed). *)
 
+(* The [verify_*] predicates below are pure: proof in, verdict out.  No
+   audit-log entry, metric or span; the party that runs a check records
+   it ([Verify_api.verify], [Audit.run]).  Retrieval reads are still
+   charged to the simulated clock like any other read. *)
+
 val verify_receipt : t -> Receipt.t -> bool
 (** Check an LSP receipt signature under the ledger's crypto profile
-    (use {!Receipt.verify} directly only with the [Real] profile). *)
+    (use {!Receipt.verify} directly only with the [Real] profile).
+    Pure: records nothing. *)
 
 (** {1 Existence verification (what)} *)
 
@@ -246,7 +252,7 @@ val get_proof : t -> int -> Fam.proof
 val verify_existence : t -> jsn:int -> payload_digest:Hash.t option -> Fam.proof -> bool
 (** Client-level check: the proof must chain the journal's tx-hash to the
     current commitment; when [payload_digest] is given it must also match
-    the journal's recorded request linkage. *)
+    the journal's recorded request linkage.  Pure: records nothing. *)
 
 val prove_extension : t -> old_size:int -> Fam.extension_proof
 (** Prove the ledger is an append-only extension of its state at
@@ -255,6 +261,8 @@ val prove_extension : t -> old_size:int -> Fam.extension_proof
 
 val verify_extension :
   t -> old_size:int -> old_peaks:Proof.node_set -> Fam.extension_proof -> bool
+(** The proof extends the peaks at [old_size] to the current commitment.
+    Pure: records nothing. *)
 
 val make_anchor : t -> Fam.anchor
 val get_proof_anchored : t -> Fam.anchor -> int -> Fam.anchored_proof
@@ -288,9 +296,12 @@ val prove_clue : t -> clue:string -> ?first:int -> ?last:int -> unit -> Cm_tree.
 val verify_clue_client : t -> Cm_tree.clue_proof -> bool
 (** Full client-side clue verification (§IV-C): retrieves the journals in
     the proof's version range, recomputes their digests, replays both
-    CM-Tree layers against the latest block's clue root. *)
+    CM-Tree layers against the latest block's clue root.  Pure: records
+    nothing. *)
 
 val verify_clue_server : t -> clue:string -> bool
+(** Server-side replay of the whole clue against the CM-Tree.  Pure:
+    records nothing. *)
 
 (** {1 ListTx (§IV-A)} *)
 

@@ -41,28 +41,25 @@ let jitter_factor policy ~seed ~attempt =
     1. -. (policy.jitter *. unit_f)
   end
 
-let backoff_ms policy ~seed ~attempt =
-  let exp =
-    policy.base_backoff_ms *. (2. ** float_of_int (max 0 (attempt - 1)))
-  in
-  Float.min policy.max_backoff_ms exp *. jitter_factor policy ~seed ~attempt
-
 (* When the caller supplies a jitter source (e.g. the seeded fault-plan
    RNG), the backoff draw comes from it instead of the (seed, attempt)
    mix — one RNG then governs both the fault schedule and the retry
    schedule, so a chaos scenario replays end to end from one seed. *)
 let backoff_ms_drawn policy ~seed ~attempt ~backoff_rng =
-  match backoff_rng with
-  | None -> backoff_ms policy ~seed ~attempt
-  | Some draw ->
-      let exp =
-        policy.base_backoff_ms *. (2. ** float_of_int (max 0 (attempt - 1)))
-      in
-      let unit_f = Float.max 0. (Float.min 1. (draw ())) in
-      let factor =
+  let factor =
+    match backoff_rng with
+    | None -> jitter_factor policy ~seed ~attempt
+    | Some draw ->
+        let unit_f = Float.max 0. (Float.min 1. (draw ())) in
         if policy.jitter <= 0. then 1. else 1. -. (policy.jitter *. unit_f)
-      in
-      Float.min policy.max_backoff_ms exp *. factor
+  in
+  let exp =
+    policy.base_backoff_ms *. (2. ** float_of_int (max 0 (attempt - 1)))
+  in
+  Float.min policy.max_backoff_ms exp *. factor
+
+let backoff_ms policy ~seed ~attempt =
+  backoff_ms_drawn policy ~seed ~attempt ~backoff_rng:None
 
 type error = { attempts : int; reason : string }
 

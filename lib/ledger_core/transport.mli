@@ -46,6 +46,12 @@ val no_retry : policy
 val backoff_ms : policy -> seed:int -> attempt:int -> float
 (** Backoff charged before retry [attempt + 1] (attempts count from 1). *)
 
+val backoff_ms_drawn :
+  policy -> seed:int -> attempt:int -> backoff_rng:(unit -> float) option ->
+  float
+(** {!backoff_ms}, except that with [backoff_rng] the jitter is drawn from
+    it (clamped to [0,1]) instead of the [(seed, attempt)] mix. *)
+
 type error = { attempts : int; reason : string }
 (** Transport gave up: every attempt failed transiently; [reason] is the
     last failure. *)

@@ -1,4 +1,5 @@
 open Ledger_crypto
+open Ledger_storage
 module Mpt = Ledger_mpt.Mpt
 module Query_index = Ledger_query.Query_index
 module Range_query = Ledger_query.Range_query
@@ -23,18 +24,25 @@ type outcome = {
   detail : string;
 }
 
+(* Recompute the tx-hash of a journal from its stored content.  For an
+   occulted journal (payload gone) Protocol 2 applies: the retained hash,
+   which the ledger keeps as the accumulator leaf, stands in. *)
+let recomputed_tx ledger (j : Journal.t) =
+  if Ledger.is_occulted ledger j.Journal.jsn then
+    Ledger.tx_hash_of ledger j.Journal.jsn
+  else Journal.tx_hash j
+
 let verify_existence ledger level jsn payload_digest =
   if jsn < 0 || jsn >= Ledger.size ledger then (false, "jsn out of range")
   else
     match level with
     | Server -> (
         (* the server checks its own accumulator leaf directly *)
-        let stored = Ledger.tx_hash_of ledger jsn in
-        let j = Ledger.journal ledger jsn in
-        let recomputed =
-          if Ledger.is_occulted ledger jsn then stored else Journal.tx_hash j
-        in
-        if not (Hash.equal stored recomputed) then
+        if
+          not
+            (Hash.equal (Ledger.tx_hash_of ledger jsn)
+               (recomputed_tx ledger (Ledger.journal ledger jsn)))
+        then
           (false, "server: journal content does not match leaf")
         else
           match payload_digest with
@@ -134,12 +142,11 @@ let verify_query ledger level spec window page_size =
             | Error e -> (false, "client: " ^ e)))
 
 let verify_receipt ledger (r : Receipt.t) =
-  if not (Ledger.verify_receipt ledger r) then
-    (false, "receipt signature invalid")
+  if not (Ledger.verify_receipt ledger r) then (false, "LSP signature invalid")
   else if
     r.Receipt.jsn < Ledger.size ledger
     && not (Hash.equal r.Receipt.tx_hash (Ledger.tx_hash_of ledger r.Receipt.jsn))
-  then (false, "receipt tx-hash diverges from the ledger (repudiation)")
+  then (false, "tx-hash no longer matches the ledger (repudiation)")
   else (true, "receipt verified")
 
 let subject = function
@@ -152,6 +159,8 @@ let level_str = function Server -> "server" | Client -> "client"
 
 let check ledger ~level target =
   let sp = Ledger_obs.Trace.enter "verify" in
+  let clock = Ledger.clock ledger in
+  let t0 = if Ledger_obs.Obs.enabled () then Clock.now clock else 0L in
   let ok, detail =
     match target with
     | Existence { jsn; payload_digest } ->
@@ -163,6 +172,9 @@ let check ledger ~level target =
     | Query_complete { spec; window; page_size } ->
         verify_query ledger level spec window page_size
   in
+  if Ledger_obs.Obs.enabled () then
+    Ledger_obs.Metrics.observe "verify_latency_us"
+      (Int64.to_float (Int64.sub (Clock.now clock) t0));
   Ledger_obs.Trace.exit sp;
   { target; level; ok; detail }
 

@@ -49,10 +49,19 @@ val spec_str : Ledger_query.Range_query.spec -> string
 val level_str : level -> string
 (** ["server"] or ["client"] — the audit-log verifier label. *)
 
+val recomputed_tx : Ledger.t -> Journal.t -> Hash.t
+(** A journal's tx-hash recomputed from its stored content; for an
+    occulted journal (payload gone, Protocol 2) the retained leaf hash
+    stands in.  Shared by the [Server] existence check and the audit's
+    replay. *)
+
 val check : Ledger.t -> level:level -> target -> outcome
 (** The verdict step: replay the proof (or, at [Server] level, the
-    in-place check) against the ledger's current state.  Writes no
-    audit-log entry, so composing layers record exactly one. *)
+    in-place check) against the ledger's current state.  Emits the
+    [verify] span and one [verify_latency_us] sample (simulated µs on
+    the ledger's clock) while observability is enabled, but writes no
+    audit-log entry: the party that ran the check records it, exactly
+    once ({!verify}, [verify_sharded], [Audit.run]). *)
 
 val verify : Ledger.t -> level:level -> target -> outcome
 (** {!check}, then one audit-log entry under the verifier

@@ -1,10 +1,13 @@
 (** Append-only audit log of verification attempts.
 
-    Every verification anywhere in the stack — client receipt checks,
-    server existence proofs, auditor sweeps — records who verified what
-    and how it went.  The log is queryable: {!coverage} reports which
-    fraction of the ledger has actually been verified by anyone, the
-    number behind [ledgerdb_cli stats]. *)
+    One check is one entry, written by the party that ran it: the
+    unified Verify API ([server], [client], [shard<i>:<level>]), the
+    Dasein auditor ([auditor]), a client handle (its own name), snapshot
+    loading ([loader]) and gossip (forks).  The ledger's own [verify_*]
+    predicates record nothing, so no check is logged twice.  The log is
+    queryable: {!coverage} reports which fraction of the ledger has
+    actually been verified by anyone, the number behind
+    [ledgerdb_cli stats]. *)
 
 type subject =
   | Journal of int  (** existence/integrity of journal [jsn] *)

@@ -257,13 +257,17 @@ let test_instrumented_workload () =
   with_obs ~time:(fun () -> Clock.now clock) (fun () ->
       let ledger, receipts = build_ledger clock in
       let n = Ledger.size ledger in
-      (* server-side proof check on every journal, then every receipt *)
+      (* a client-level proof check on every journal, then every receipt *)
       for jsn = 0 to n - 1 do
-        let proof = Ledger.get_proof ledger jsn in
         Alcotest.(check bool) "existence verified" true
-          (Ledger.verify_existence ledger ~jsn ~payload_digest:None proof)
+          (Verify_api.verify ledger ~level:Client
+             (Existence { jsn; payload_digest = None }))
+            .Verify_api.ok
       done;
-      List.iter (fun r -> ignore (Ledger.verify_receipt ledger r)) receipts;
+      List.iter
+        (fun r ->
+          ignore (Verify_api.verify ledger ~level:Client (Receipt_check r)))
+        receipts;
       let report = Audit.run ~receipts ledger in
       Alcotest.(check bool) "audit ok" true report.Audit.ok;
       (* counters reflect the workload exactly where the workload is exact *)
@@ -293,6 +297,97 @@ let test_instrumented_workload () =
       Alcotest.(check bool) "persist children" true
         (List.length (Trace.find_spans ~name:"persist") >= 10);
       Alcotest.(check int) "no span leaks" 0 (Trace.open_spans ()))
+
+(* --- one audit-log entry per check ------------------------------------ *)
+
+(* The verifiers of each audit-log entry [f] appends. *)
+let new_entries f =
+  let before = Audit_log.size () in
+  let r = f () in
+  ( r,
+    List.filteri (fun i _ -> i >= before) (Audit_log.entries ())
+    |> List.map (fun e -> e.Audit_log.verifier) )
+
+let test_one_entry_per_check () =
+  let clock = Clock.create () in
+  with_obs ~time:(fun () -> Clock.now clock) (fun () ->
+      let ledger, receipts = build_ledger clock in
+      let targets =
+        Verify_api.
+          [
+            Existence { jsn = 0; payload_digest = None };
+            Existence { jsn = 999; payload_digest = None };
+            Clue { key = "c0" };
+            Clue_range { key = "c1"; first = 1; last = 2 };
+            Receipt_check (List.hd receipts);
+            Query_complete
+              {
+                spec = Ledger_query.Range_query.Prefix "c";
+                window = None;
+                page_size = 1;
+              };
+          ]
+      in
+      List.iter
+        (fun level ->
+          List.iter
+            (fun target ->
+              let o, logged =
+                new_entries (fun () -> Verify_api.verify ledger ~level target)
+              in
+              Alcotest.(check (list string))
+                (Format.asprintf "%a" Verify_api.pp_outcome o)
+                [ Verify_api.level_str level ]
+                logged)
+            targets)
+        [ Verify_api.Server; Verify_api.Client ];
+      let report, logged =
+        new_entries (fun () -> Audit.run ~receipts ledger)
+      in
+      Alcotest.(check bool) "audit ok" true report.Audit.ok;
+      Alcotest.(check bool) "audit logs only auditor entries" true
+        (logged <> [] && List.for_all (String.equal "auditor") logged));
+  with_obs (fun () ->
+      let module SL = Ledger_shard.Sharded_ledger in
+      let module SV = Ledger_shard.Verify_api in
+      let base =
+        { Ledger.default_config with name = "obs-fleet"; block_size = 4;
+          fam_delta = 3; crypto = Crypto_profile.default_simulated }
+      in
+      let fleet =
+        SL.create ~config:{ SL.base; shards = 2 } ~clock:(Clock.create ()) ()
+      in
+      let user, key = SL.new_member fleet ~name:"u" ~role:Roles.Regular_user in
+      let placed =
+        List.init 8 (fun i ->
+            fst
+              (SL.append fleet ~member:user ~priv:key
+                 ~clues:[ "k" ^ string_of_int i ]
+                 (Bytes.of_string (string_of_int i))))
+      in
+      (match SL.seal_epoch fleet with Ok _ -> () | Error e -> Alcotest.fail e);
+      List.iter
+        (fun level ->
+          List.iter
+            (fun shard ->
+              let expected =
+                [ Printf.sprintf "shard%d:%s" shard (SV.level_str level) ]
+              in
+              let _, logged =
+                new_entries (fun () ->
+                    SV.verify_sharded fleet ~level ~shard
+                      (SV.Existence { jsn = 0; payload_digest = None }))
+              in
+              Alcotest.(check (list string)) "sharded existence" expected logged)
+            (List.sort_uniq compare placed);
+          let _, logged =
+            new_entries (fun () ->
+                SV.verify_sharded fleet ~level (SV.Clue { key = "k0" }))
+          in
+          Alcotest.(check (list string)) "routed clue"
+            [ Printf.sprintf "shard%d:%s" (List.hd placed) (SV.level_str level) ]
+            logged)
+        [ SV.Server; SV.Client ])
 
 (* --- chaos: fault injection vs. metrics ------------------------------- *)
 
@@ -384,6 +479,7 @@ let suite =
     tc "audit-log coverage" `Quick test_audit_coverage;
     tc "dump and prometheus exporters" `Quick test_exporters;
     tc "instrumented ledger workload" `Quick test_instrumented_workload;
+    tc "one audit-log entry per check" `Quick test_one_entry_per_check;
     tc "fault counters match schedule" `Quick test_fault_counters_match_schedule;
     tc "faulty transport counters" `Quick test_faulty_transport_counters;
   ]
