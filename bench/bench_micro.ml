@@ -114,6 +114,43 @@ let tests =
       test_table2_qldb_verify;
     ]
 
+(* Publish cost against member count: one simulated-profile append on a
+   ledger with 1 registered member and on one with 256.  The view's
+   member list is shared, not rebuilt, so the two must cost about the
+   same.  Rounds alternate between the ledgers and each side keeps its
+   fastest round, so a scheduler or GC pause cannot fake a gap.
+   Returns the per-append ns at 1 and at 256 members. *)
+let publish_cost ~rounds ~appends =
+  let open Ledger_core in
+  let ledger members =
+    let config =
+      { Ledger.default_config with
+        name = "micro-publish"; crypto = Crypto_profile.default_simulated }
+    in
+    let l = Ledger.create ~config ~clock:(Clock.create ()) () in
+    let creds =
+      List.init members (fun i ->
+          Ledger.new_member l ~name:(Printf.sprintf "m%03d" i)
+            ~role:Roles.Regular_user)
+    in
+    (l, List.hd creds)
+  in
+  let round (l, (member, priv)) =
+    let payload = Bytes.make 64 'p' in
+    let t0 = Unix.gettimeofday () in
+    for _ = 1 to appends do
+      ignore (Ledger.append l ~member ~priv payload)
+    done;
+    (Unix.gettimeofday () -. t0) *. 1e9 /. float_of_int appends
+  in
+  let one = ledger 1 and many = ledger 256 in
+  let best_one = ref infinity and best_many = ref infinity in
+  for _ = 1 to rounds do
+    best_one := Float.min !best_one (round one);
+    best_many := Float.min !best_many (round many)
+  done;
+  (!best_one, !best_many)
+
 let benchmark ~smoke () =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:Measure.[| run |]
@@ -187,6 +224,21 @@ let run ?(smoke = false) ?json () =
           (Printf.sprintf
              "bench_micro: ecdsa verify speedup %.1fx below the %.0fx gate" s
              floor));
+  let publish_1, publish_256 =
+    if smoke then publish_cost ~rounds:7 ~appends:32
+    else publish_cost ~rounds:15 ~appends:128
+  in
+  let publish_ratio = publish_256 /. publish_1 in
+  Printf.printf
+    "simulated append: %.1f us at 1 member, %.1f us at 256 (ratio %.2fx)\n"
+    (publish_1 /. 1e3) (publish_256 /. 1e3) publish_ratio;
+  (* publish must not grow with the member count *)
+  if publish_ratio > 2.0 then
+    failwith
+      (Printf.sprintf
+         "bench_micro: append at 256 members costs %.2fx the 1-member \
+          append, above the 2x gate"
+         publish_ratio);
   match json with
   | None -> ()
   | Some path ->
@@ -204,6 +256,9 @@ let run ?(smoke = false) ?json () =
              ("unit", Str "ns_per_run");
              ("smoke", Bool smoke);
              ("verify_speedup", match speedup with Some s -> Float s | None -> Null);
+             ("publish_ratio", Float publish_ratio);
+             ( "publish_append_ns",
+               Obj [ ("members_1", Float publish_1); ("members_256", Float publish_256) ] );
              ("tests", Obj tests);
            ]);
       Printf.printf "wrote %s\n" path

@@ -310,7 +310,9 @@ let snapshot_cmd =
    ["shard<i>:server"/"shard<i>:client"] verifier, so verification
    coverage can be broken down per shard with [coverage_where].  Every
    shard is also audited; the auditor's entries do not count towards the
-   per-shard coverage. *)
+   per-shard coverage.  The workload's clues are picked through the
+   router, one per shard, so every shard holds journals and a shard
+   holding none fails the gate. *)
 let run_stats_sharded journals shards trace_out prometheus =
   let module Obs = Ledger_obs.Obs in
   let module Trace = Ledger_obs.Trace in
@@ -330,11 +332,20 @@ let run_stats_sharded journals shards trace_out prometheus =
   in
   let fleet = SL.create ~config ~clock () in
   let user, key = SL.new_member fleet ~name:"stats-user" ~role:Roles.Regular_user in
+  let clue_of_shard s =
+    let rec first k =
+      let clue = "item-" ^ string_of_int k in
+      if Ledger_shard.Shard_router.route_clue (SL.router fleet) clue = s then clue
+      else first (k + 1)
+    in
+    first 0
+  in
+  let clues = Array.init shards clue_of_shard in
   for i = 0 to journals - 1 do
     Clock.advance_ms clock 100.;
     ignore
       (SL.append fleet ~member:user ~priv:key
-         ~clues:[ "item-" ^ string_of_int (i mod 5) ]
+         ~clues:[ clues.(i mod shards) ]
          (Bytes.of_string (Printf.sprintf "record %d" i)))
   done;
   let sealed = SL.seal_epoch fleet in
@@ -370,7 +381,8 @@ let run_stats_sharded journals shards trace_out prometheus =
         ~verifier_prefix:(Printf.sprintf "shard%d:" s)
         ~ledger_size:size
     in
-    if c.Audit_log.ratio < 1.0 then all_covered := false;
+    if c.Audit_log.ratio < 1.0 || c.Audit_log.total_jsns = 0 then
+      all_covered := false;
     Printf.printf "  shard %d: %d/%d journals (%.1f%%)\n" s
       c.Audit_log.verified_jsns c.Audit_log.total_jsns
       (100. *. c.Audit_log.ratio)
@@ -437,11 +449,16 @@ let run_stats journals shards trace_out prometheus =
     (fun r -> ignore (Verify_api.verify ledger ~level:Client (Receipt_check r)))
     !receipts;
   let report = Audit.run ~receipts:!receipts ledger in
-  let coverage = Audit_log.coverage ~ledger_size:(Ledger.size ledger) in
+  (* only the client's checks count: the auditor logs every jsn it
+     audits, so counting it too would make the gate unfailable *)
+  let coverage =
+    Audit_log.coverage_where ~verifier_prefix:"client"
+      ~ledger_size:(Ledger.size ledger)
+  in
   if prometheus then print_string (Obs.to_prometheus_text ())
   else Obs.dump Format.std_formatter;
   Printf.printf "\naudit: %s\n" (if report.Audit.ok then "ok" else "FAILED");
-  Printf.printf "verification coverage: %d/%d journals (%.1f%%)\n"
+  Printf.printf "client verification coverage: %d/%d journals (%.1f%%)\n"
     coverage.Audit_log.verified_jsns coverage.Audit_log.total_jsns
     (100. *. coverage.Audit_log.ratio);
   (match trace_out with

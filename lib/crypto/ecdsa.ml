@@ -15,11 +15,16 @@ let scalar_of_bytes b =
   in
   fst (Uint256.add v Uint256.one)
 
+(* Public keys are returned normalised (Z = 1), so encoding one — its
+   wire form, its id — is a serialisation, not a field inversion. *)
+let public_key d =
+  match Secp256k1.to_affine (Secp256k1.scalar_mul_base d) with
+  | Some (x, y) -> Secp256k1.of_affine x y
+  | None -> assert false (* d is in [1, n-1] *)
+
 let generate ~seed =
   let d = scalar_of_bytes (Sha256.digest_string ("ledgerdb-key:" ^ seed)) in
-  (d, Secp256k1.scalar_mul_base d)
-
-let public_key d = Secp256k1.scalar_mul_base d
+  (d, public_key d)
 
 (* Deterministic nonce in the spirit of RFC 6979: chained HMAC over the
    private key and digest, with a retry counter. *)

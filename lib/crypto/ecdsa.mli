@@ -20,6 +20,9 @@ val generate : seed:string -> private_key * public_key
     give (overwhelmingly) distinct keys. *)
 
 val public_key : private_key -> public_key
+(** Normalised to Z = 1, like the keys of {!generate} and
+    {!public_key_of_bytes}: {!public_key_to_bytes} and {!public_key_id}
+    on such a key serialise it without a field inversion. *)
 
 val sign : private_key -> Hash.t -> signature
 (** Sign a 32-byte message digest. *)

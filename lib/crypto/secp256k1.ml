@@ -901,6 +901,7 @@ let is_on_curve x y =
 
 let to_affine pt =
   if is_infinity pt then None
+  else if Fe.is_one pt.z then Some (Fe.to_u256 pt.x, Fe.to_u256 pt.y)
   else begin
     let zinv = Fe.inv pt.z in
     let zinv2 = Fe.sqr zinv in

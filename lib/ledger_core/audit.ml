@@ -49,7 +49,7 @@ let fail ctx ?jsn factor message =
 (* --- who ----------------------------------------------------------------- *)
 
 let member_pub ctx id =
-  if Hash.equal id (Ecdsa.public_key_id (Ledger.lsp_public_key ctx.ledger)) then
+  if Hash.equal id (Ledger.lsp_id ctx.ledger) then
     Some (Ledger.lsp_public_key ctx.ledger)
   else
     Option.map
@@ -83,7 +83,7 @@ let check_member_certificate ctx ~jsn id =
   match (Ledger.config ctx.ledger).Ledger.member_ca with
   | None -> ()
   | Some ca_pub ->
-      if not (Hash.equal id (Ecdsa.public_key_id (Ledger.lsp_public_key ctx.ledger)))
+      if not (Hash.equal id (Ledger.lsp_id ctx.ledger))
       then begin
         let registry = Ledger.registry ctx.ledger in
         match (Roles.find registry id, Roles.certificate_of registry id) with

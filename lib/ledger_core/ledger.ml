@@ -60,12 +60,12 @@ type view = {
   v_name : string;
   v_size : int;
   v_block_count : int;
-  v_blocks : Block.t list; (* newest first *)
+  v_blocks : Block.t array; (* shared with the writer; guarded by v_block_count *)
   v_slots : slot array; (* shared with the writer; guarded by v_size *)
   v_fam : Fam.t; (* frozen *)
   v_cm : Cm_tree.t; (* frozen *)
   v_query : Query_index.t; (* frozen *)
-  v_members : (string * string * bytes) list; (* sorted wire form *)
+  v_members : (string * string * bytes) list; (* shared {!Roles.wire_members} *)
   v_pseudo_genesis : int option;
   v_now : int64; (* clock pinned at publication *)
   v_store : Stream_store.pinned;
@@ -85,9 +85,12 @@ type t = {
   fam : Fam.t;
   cm : Cm_tree.t;
   world_state : Accumulator.t;
-  mutable blocks : Block.t list; (* newest first *)
+  mutable blocks : Block.t array;
+      (* the block index: sealed blocks by height, cells [0, block_count)
+         final; grows into a fresh array, so views keep a sound prefix *)
   mutable block_count : int;
   mutable pending_txs : Hash.t list; (* newest first, current block *)
+  mutable pending_count : int; (* length of [pending_txs] *)
   occult_bits : Bitmap_index.t;
   mutable occult_pending : int list; (* async-occulted, not yet erased *)
   registry : Roles.registry;
@@ -133,17 +136,9 @@ let dummy_slot =
 
 (* Build and atomically publish a fresh read snapshot.  Writer-only:
    always called with the mutation already complete, so the view captures
-   a committed state.  O(members + dirty-trie-path) per call. *)
+   a committed state.  O(dirty trie path) per call: the member list and
+   the block index are shared, not copied. *)
 let publish t =
-  let members =
-    Roles.members t.registry
-    |> List.sort (fun (a : Roles.member) (b : Roles.member) ->
-           String.compare a.Roles.name b.Roles.name)
-    |> List.map (fun (m : Roles.member) ->
-           ( m.Roles.name,
-             Roles.role_to_string m.Roles.role,
-             Ecdsa.public_key_to_bytes m.Roles.pub ))
-  in
   let v =
     {
       v_epoch = t.view_epoch;
@@ -155,7 +150,7 @@ let publish t =
       v_fam = Fam.freeze t.fam;
       v_cm = Cm_tree.freeze t.cm;
       v_query = Query_index.freeze t.query;
-      v_members = members;
+      v_members = Roles.wire_members t.registry;
       v_pseudo_genesis = t.pseudo_genesis_jsn;
       v_now = Clock.now t.clock;
       v_store = Stream_store.pin t.journal_stream;
@@ -187,9 +182,10 @@ let create ?(config = default_config) ?t_ledger ?tsa ~clock () =
     fam = Fam.create ~delta:config.fam_delta;
     cm = Cm_tree.create ();
     world_state = Accumulator.create ();
-    blocks = [];
+    blocks = [||];
     block_count = 0;
     pending_txs = [];
+    pending_count = 0;
     occult_bits = Bitmap_index.create ();
     occult_pending = [];
     registry = Roles.create_registry ();
@@ -217,6 +213,7 @@ let clock t = t.clock
 let uri t = "ledger://" ^ t.cfg.name
 let registry t = t.registry
 let lsp_public_key t = t.lsp_pub
+let lsp_id t = t.lsp_id
 let register_member t ?certificate ~name ~role pub =
   (match t.cfg.member_ca with
   | Some ca_pub -> (
@@ -280,13 +277,51 @@ let iter_journals t f =
 
 (* --- block building ---------------------------------------------------- *)
 
+let latest_block t =
+  if t.block_count = 0 then None else Some t.blocks.(t.block_count - 1)
+
 let latest_block_hash t =
-  match t.blocks with [] -> Hash.zero | b :: _ -> Block.hash b
+  match latest_block t with None -> Hash.zero | Some b -> Block.hash b
+
+(* Append a sealed block to the index.  Cells past [block_count] are
+   never read through a view, and growth copies into a fresh array, so a
+   view's (array, count) pair stays a consistent prefix. *)
+let push_block t b =
+  if t.block_count = Array.length t.blocks then begin
+    let bigger = Array.make (max 16 (2 * t.block_count)) b in
+    Array.blit t.blocks 0 bigger 0 t.block_count;
+    t.blocks <- bigger
+  end;
+  t.blocks.(t.block_count) <- b;
+  t.block_count <- t.block_count + 1
+
+(* The sealed block holding [jsn] among heights [0, n) of [blocks].
+   Seals cover consecutive jsn ranges, so start_jsns ascend with height:
+   a jsn at or past the newest block's start (a fresh append) is
+   answered in O(1), any other by binary search. *)
+let sealed_block_of blocks n jsn =
+  (* greatest height in [lo, hi] whose block starts at or before [jsn] *)
+  let rec search lo hi =
+    if lo >= hi then lo
+    else
+      let mid = (lo + hi + 1) / 2 in
+      if blocks.(mid).Block.start_jsn <= jsn then search mid hi
+      else search lo (mid - 1)
+  in
+  if n = 0 then None
+  else
+    let newest = blocks.(n - 1) in
+    let b =
+      if jsn >= newest.Block.start_jsn then newest else blocks.(search 0 (n - 1))
+    in
+    if jsn >= b.Block.start_jsn && jsn < b.Block.start_jsn + b.Block.count then
+      Some b
+    else None
 
 let seal_block t =
-  if t.pending_txs <> [] then begin
+  if t.pending_count > 0 then begin
     let txs = List.rev t.pending_txs in
-    let count = List.length txs in
+    let count = t.pending_count in
     let block =
       {
         Block.height = t.block_count;
@@ -302,9 +337,9 @@ let seal_block t =
         timestamp = Clock.now t.clock;
       }
     in
-    t.blocks <- block :: t.blocks;
-    t.block_count <- t.block_count + 1;
+    push_block t block;
     t.pending_txs <- [];
+    t.pending_count <- 0;
     publish t;
     Metrics.incr "ledger_blocks_sealed_total";
     Log.debug (fun m ->
@@ -312,14 +347,6 @@ let seal_block t =
           count
           (Hash.short_hex block.Block.clue_root))
   end
-
-let block_count t = t.block_count
-
-let block t h =
-  if h < 0 || h >= t.block_count then invalid_arg "Ledger.block: out of range";
-  List.nth t.blocks (t.block_count - 1 - h)
-
-let blocks t = List.rev t.blocks
 
 (* --- journal commitment ------------------------------------------------ *)
 
@@ -384,6 +411,7 @@ let install ?(pool = Domain_pool.sequential) t journals txs =
             | None -> Hashtbl.replace t.state_index clue (ref [ leaf_index ]))
           j.Journal.clues;
         t.pending_txs <- tx :: t.pending_txs;
+        t.pending_count <- t.pending_count + 1;
         (match j.Journal.kind with
         | Journal.Time _ -> t.time_journals <- jsn :: t.time_journals
         | Journal.Occult { target_jsn; _ } ->
@@ -413,7 +441,7 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
   let rec go acc = function
     | [] -> List.rev acc
     | js ->
-        let room = t.cfg.block_size - List.length t.pending_txs in
+        let room = t.cfg.block_size - t.pending_count in
         if room <= 0 then begin
           seal_block t;
           go acc js
@@ -432,7 +460,7 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
               Metrics.observe_int "ledger_payload_bytes"
                 (Bytes.length j.Journal.payload))
             chunk;
-          if List.length t.pending_txs >= t.cfg.block_size then seal_block t;
+          if t.pending_count >= t.cfg.block_size then seal_block t;
           go (List.rev_append slots acc) rest
         end
   in
@@ -442,19 +470,14 @@ let commit_batch ?(pool = Domain_pool.sequential) t journals =
   Trace.exit sp;
   slots
 
-(* The receipt for slot [s] over the blocks sealed so far (newest
-   first), shared by the live ledger and {!Read_view}. *)
-let build_receipt ~sign ~blocks ~timestamp s =
+(* The receipt for slot [s] over the first [block_count] blocks of the
+   block index, shared by the live ledger and {!Read_view}. *)
+let build_receipt ~sign ~blocks ~block_count ~timestamp s =
   Metrics.incr "ledger_receipts_issued_total";
   let jsn = s.journal.Journal.jsn in
   let block_hash =
     (* final only when the journal's block is sealed *)
-    match
-      List.find_opt
-        (fun (b : Block.t) ->
-          jsn >= b.Block.start_jsn && jsn < b.Block.start_jsn + b.Block.count)
-        blocks
-    with
+    match sealed_block_of blocks block_count jsn with
     | Some b -> Block.hash b
     | None -> Hash.zero
   in
@@ -472,7 +495,8 @@ let build_receipt ~sign ~blocks ~timestamp s =
   }
 
 let make_receipt t s =
-  build_receipt s ~blocks:t.blocks ~timestamp:(Clock.now t.clock)
+  build_receipt s ~blocks:t.blocks ~block_count:t.block_count
+    ~timestamp:(Clock.now t.clock)
     ~sign:(sign_with_profile t ~priv:t.lsp_priv ~pub:t.lsp_pub)
 
 (* Stamp, number and sign one locally made request: a member's append,
@@ -739,9 +763,9 @@ let verify_clue_client t (proof : Cm_tree.clue_proof) =
       end)
     (clue_jsns t proof.Cm_tree.clue);
   let root =
-    match t.blocks with
-    | b :: _ -> b.Block.clue_root
-    | [] -> Cm_tree.root_hash t.cm
+    match latest_block t with
+    | Some b -> b.Block.clue_root
+    | None -> Cm_tree.root_hash t.cm
   in
   (* If the trie advanced since the last sealed block, fall back to the
      live root (a real client would request a fresh block commit). *)
@@ -1153,7 +1177,7 @@ module Read_view = struct
   let name v = v.v_name
   let size v = v.v_size
   let block_count v = v.v_block_count
-  let blocks v = List.rev v.v_blocks
+  let blocks v = List.init v.v_block_count (Array.get v.v_blocks)
   let members_wire v = v.v_members
   let pseudo_genesis_jsn v = v.v_pseudo_genesis
   let published_at v = v.v_now
@@ -1161,7 +1185,7 @@ module Read_view = struct
   let block v h =
     if h < 0 || h >= v.v_block_count then
       invalid_arg "Ledger.block: out of range";
-    List.nth v.v_blocks (v.v_block_count - 1 - h)
+    v.v_blocks.(h)
 
   let slot v jsn =
     if jsn < 0 || jsn >= v.v_size then
@@ -1192,13 +1216,20 @@ module Read_view = struct
   let query_root v = Query_index.root v.v_query
 
   let receipt v jsn =
-    build_receipt (slot v jsn) ~blocks:v.v_blocks ~timestamp:v.v_now
+    build_receipt (slot v jsn) ~blocks:v.v_blocks ~block_count:v.v_block_count
+      ~timestamp:v.v_now
       ~sign:
         (Crypto_profile.sign_pure v.v_crypto ~priv:v.v_lsp_priv
            ~pub:v.v_lsp_pub)
 end
 
 let view_epoch t = (read_view t).v_epoch
+
+(* The block accessors read the current view: every caller runs between
+   mutations, where the view is the committed state. *)
+let block_count t = Read_view.block_count (read_view t)
+let block t h = Read_view.block (read_view t) h
+let blocks t = Read_view.blocks (read_view t)
 
 (* --- persistence ------------------------------------------------------------ *)
 
@@ -1462,8 +1493,7 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
              if !torn_tail && start_jsn + count > t.count then
                incr blocks_dropped
              else begin
-               t.blocks <- b :: t.blocks;
-               t.block_count <- t.block_count + 1;
+               push_block t b;
                covered := start_jsn + count
              end)
        done
@@ -1474,6 +1504,7 @@ let load_verbose ?(config = default_config) ?t_ledger ?tsa ?(recover = false)
       t.pending_txs <- t.slots.(jsn).tx :: t.pending_txs
     done;
     t.pending_txs <- List.rev t.pending_txs;
+    t.pending_count <- max 0 (t.count - !covered);
     (* survivors *)
     let surv = in_dir "survivors.ldb" in
     if Sys.file_exists surv then begin

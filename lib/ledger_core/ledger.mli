@@ -44,6 +44,10 @@ val uri : t -> string
 val registry : t -> Roles.registry
 val lsp_public_key : t -> Ecdsa.public_key
 
+val lsp_id : t -> Hash.t
+(** [Ecdsa.public_key_id] of {!lsp_public_key}, computed once: the
+    [client_id] of system journals. *)
+
 val register_member :
   t ->
   ?certificate:Roles.certificate ->
@@ -73,10 +77,13 @@ val new_member :
     payloads, receipts and range-query pages against it.  The view is
     the only read implementation of the service layer: every read that
     {!Service} answers, locked entry point or not, comes from here
-    (DESIGN.md §17).  The other [Ledger] accessors stay on live state
-    for audits and verifiers, and share their prover and receipt builder
-    with the view.  Purge/occult erasures remain visible through
-    already-captured views: snapshots never resurrect erased payloads. *)
+    (DESIGN.md §17).  {!block_count}, {!block} and {!blocks} read the
+    current view; the other [Ledger] accessors stay on live state for
+    audits and verifiers, and share their prover and receipt builder
+    with the view.  Publishing costs O(dirty trie path): the member list
+    and the block index are shared with the writer, not copied.
+    Purge/occult erasures remain visible through already-captured
+    views: snapshots never resurrect erased payloads. *)
 
 module Read_view : sig
   type t
@@ -89,8 +96,14 @@ module Read_view : sig
   val name : t -> string
   val size : t -> int
   val block_count : t -> int
+
   val block : t -> int -> Block.t
+  (** O(1): the view holds a prefix of the writer's block index.
+      @raise Invalid_argument outside [[0, block_count)]. *)
+
   val blocks : t -> Block.t list
+  (** Oldest first. *)
+
   val journal : t -> int -> Journal.t
   val tx_hash_of : t -> int -> Hash.t
 
@@ -113,7 +126,8 @@ module Read_view : sig
   val query_root : t -> Hash.t
   val members_wire : t -> (string * string * bytes) list
   (** (name, role tag, public-key bytes), sorted by name — the
-      [Get_members] wire form, precomputed at publication. *)
+      [Get_members] wire form: {!Roles.wire_members} as it was at
+      publication, shared, not rebuilt. *)
 
   val pseudo_genesis_jsn : t -> int option
   val published_at : t -> int64
@@ -122,7 +136,8 @@ module Read_view : sig
 
   val receipt : t -> int -> Receipt.t
   (** Receipt signed with the pure crypto profile (no clock charge)
-      against {!published_at}. *)
+      against {!published_at}.  Its block lookup is O(1) for a journal
+      in the newest block or past it, O(log blocks) otherwise. *)
 end
 
 val read_view : t -> Read_view.t
@@ -178,6 +193,9 @@ val iter_journals : t -> (Journal.t -> unit) -> unit
 val block_count : t -> int
 val block : t -> int -> Block.t
 val blocks : t -> Block.t list
+(** The {!Read_view} accessors on the current view: call them between
+    mutations, where the view is the committed state. *)
+
 val seal_block : t -> unit
 (** Force-commit a partial block. *)
 

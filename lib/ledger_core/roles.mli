@@ -21,7 +21,15 @@ val register : registry -> name:string -> role:role -> Ecdsa.public_key -> membe
 
 val find : registry -> Hash.t -> member option
 val find_by_name : registry -> string -> member option
+
 val members : registry -> member list
+(** In name order (ties in registration order). *)
+
+val wire_members : registry -> (string * string * bytes) list
+(** The members' wire form [(name, role, 64-byte key)], in {!members}'
+    order.  Kept up to date by {!register}, which encodes each key once,
+    so this is a shared list: no sort, no encode, no allocation. *)
+
 val with_role : registry -> role -> member list
 val cardinal : registry -> int
 

@@ -73,10 +73,11 @@ let ensure_capacity s =
   end
 
 (* One record onto the end of a live stream: the step both {!append}
-   and {!append_many} take per payload. *)
+   and {!append_many} take per payload.  The bytes are kept, not copied:
+   callers hand them over, and reads copy. *)
 let push s payload =
   ensure_capacity s;
-  s.records.(s.count) <- { payload = Some (Bytes.copy payload) };
+  s.records.(s.count) <- { payload = Some payload };
   s.count <- s.count + 1;
   s.live_bytes <- s.live_bytes + Bytes.length payload;
   Ledger_obs.Metrics.incr "storage_appends_total";

@@ -61,7 +61,10 @@ val stream : t -> string -> stream
 val stream_name : stream -> string
 
 val append : stream -> bytes -> int
-(** Append a record, returning its index (0-based, dense). *)
+(** Append a record, returning its index (0-based, dense).  The store
+    keeps the bytes it is given, without a copy (the ledger's journal
+    record holds the same payload): the caller must not mutate them
+    afterwards.  Every read hands out a copy. *)
 
 val append_many : stream -> bytes list -> int
 (** Append a whole batch of records in one storage operation, returning

@@ -288,15 +288,35 @@ let test_instrumented_workload () =
         (match Metrics.hist_snapshot "verify_latency_us" with
         | Some s -> s.Metrics.count >= n
         | None -> false);
-      (* the audit log covers the whole ledger *)
-      Alcotest.(check (float 0.)) "coverage 100%" 1.0
-        (Audit_log.coverage ~ledger_size:n).Audit_log.ratio;
+      (* the client's own checks cover the whole ledger *)
+      Alcotest.(check (float 0.)) "client coverage 100%" 1.0
+        (Audit_log.coverage_where ~verifier_prefix:"client" ~ledger_size:n)
+          .Audit_log.ratio;
       (* spans: every commit traced, everything closed *)
       Alcotest.(check bool) "commit spans" true
         (List.length (Trace.find_spans ~name:"ledger.commit") >= 10);
       Alcotest.(check bool) "persist children" true
         (List.length (Trace.find_spans ~name:"persist") >= 10);
       Alcotest.(check int) "no span leaks" 0 (Trace.open_spans ()))
+
+(* The client-coverage gate of [ledgerdb_cli stats] must be able to fail:
+   an audit alone logs an [auditor] entry for every jsn, so it satisfies
+   the any-verifier [coverage] but leaves client coverage at zero. *)
+let test_audit_only_client_coverage () =
+  let clock = Clock.create () in
+  with_obs ~time:(fun () -> Clock.now clock) (fun () ->
+      let ledger, receipts = build_ledger clock in
+      let n = Ledger.size ledger in
+      Alcotest.(check bool) "audit ok" true (Audit.run ~receipts ledger).Audit.ok;
+      Alcotest.(check (float 0.)) "the auditor covers every jsn" 1.0
+        (Audit_log.coverage ~ledger_size:n).Audit_log.ratio;
+      let client =
+        Audit_log.coverage_where ~verifier_prefix:"client" ~ledger_size:n
+      in
+      Alcotest.(check bool) "client coverage below 100%" true
+        (client.Audit_log.ratio < 1.0);
+      Alcotest.(check int) "no client-verified jsn" 0
+        client.Audit_log.verified_jsns)
 
 (* --- one audit-log entry per check ------------------------------------ *)
 
@@ -479,6 +499,8 @@ let suite =
     tc "audit-log coverage" `Quick test_audit_coverage;
     tc "dump and prometheus exporters" `Quick test_exporters;
     tc "instrumented ledger workload" `Quick test_instrumented_workload;
+    tc "audit-only run: client coverage below 100%" `Quick
+      test_audit_only_client_coverage;
     tc "one audit-log entry per check" `Quick test_one_entry_per_check;
     tc "fault counters match schedule" `Quick test_fault_counters_match_schedule;
     tc "faulty transport counters" `Quick test_faulty_transport_counters;

@@ -553,6 +553,136 @@ let test_sharded_golden () =
   | None -> ()
   | Some _ -> Alcotest.fail "wrapped inner append served on the read path"
 
+(* --- what a publication shares with the writer ------------------------ *)
+
+module RV = Ledger.Read_view
+
+let sim_ledger ?(block_size = 4) name =
+  let config =
+    { Ledger.default_config with name; block_size; fam_delta = 3;
+      latency = Latency_model.free; crypto = Crypto_profile.default_simulated }
+  in
+  Ledger.create ~config ~clock:(Clock.create ()) ()
+
+let names v = List.map (fun (n, _, _) -> n) (RV.members_wire v)
+
+(* [Get_members] serves the registry's shared wire list; it must equal
+   what publishing used to build every time: sort the members by name,
+   then encode every key. *)
+let test_members_wire () =
+  let ledger = sim_ledger "rv-members" in
+  List.iter
+    (fun (name, role) -> ignore (Ledger.new_member ledger ~name ~role))
+    Roles.
+      [ ("zed", Regular_user); ("mia", Dba); ("amy", Regulator);
+        ("kai", Regular_user); ("bob", Regular_user) ];
+  let reference =
+    Roles.members (Ledger.registry ledger)
+    |> List.sort (fun (a : Roles.member) (b : Roles.member) ->
+           String.compare a.Roles.name b.Roles.name)
+    |> List.map (fun (m : Roles.member) ->
+           ( m.Roles.name,
+             Roles.role_to_string m.Roles.role,
+             Ecdsa.public_key_to_bytes m.Roles.pub ))
+  in
+  Alcotest.(check (list string)) "name order"
+    [ "amy"; "bob"; "kai"; "mia"; "zed" ]
+    (names (Ledger.read_view ledger));
+  Alcotest.(check bool) "Get_members bytes" true
+    (Bytes.equal
+       (Service.handle ledger (Service.Client.make_get_members ()))
+       (Service.encode_response (Service.Members_r reference)))
+
+(* A view is a snapshot: a later registration, seal or index growth
+   leaves it as it was published. *)
+let test_view_isolation () =
+  let ledger = sim_ledger "rv-isolation" in
+  let alice, key = Ledger.new_member ledger ~name:"alice" ~role:Roles.Regular_user in
+  let append () =
+    ignore (Ledger.append ledger ~member:alice ~priv:key (Bytes.of_string "x"))
+  in
+  for _ = 1 to 6 do append () done;
+  let before = Ledger.read_view ledger in
+  ignore (Ledger.new_member ledger ~name:"bob" ~role:Roles.Regular_user);
+  Alcotest.(check (list string)) "old view: no bob" [ "alice" ] (names before);
+  Alcotest.(check (list string)) "new view: bob" [ "alice"; "bob" ]
+    (names (Ledger.read_view ledger));
+  (* jsn 5 sits in the open second block *)
+  Ledger.seal_block ledger;
+  Alcotest.(check int) "old view: one block" 1 (RV.block_count before);
+  Alcotest.(check bool) "old view: jsn 5 unsealed" true
+    (Hash.equal Hash.zero (RV.receipt before 5).Receipt.block_hash);
+  Alcotest.(check bool) "new view: jsn 5 sealed" true
+    (Hash.equal
+       (Block.hash (Ledger.block ledger 1))
+       (RV.receipt (Ledger.read_view ledger) 5).Receipt.block_hash);
+  (* grow the block index well past its first capacity *)
+  let hashes v = List.map Block.hash (RV.blocks v) in
+  let sealed = hashes before in
+  for _ = 1 to 100 do append () done;
+  Alcotest.(check int) "grown" 27 (Ledger.block_count ledger);
+  Alcotest.(check bool) "old view keeps its blocks" true
+    (List.equal Hash.equal sealed (hashes before));
+  Alcotest.(check int) "old view: one block still" 1 (RV.block_count before)
+
+type block_op = Append | Batch of int * bool | Seal
+
+let print_block_op = function
+  | Append -> "A"
+  | Batch (n, seal) -> Printf.sprintf "B%d%s" n (if seal then "s" else "")
+  | Seal -> "S"
+
+(* The receipt's block is found through the block index; it must be the
+   block a linear search over all sealed blocks finds. *)
+let prop_receipt_block =
+  let gen =
+    QCheck.Gen.(
+      pair (int_range 1 6)
+        (list_size (int_range 1 30)
+           (frequency
+              [ (5, return Append);
+                (3, map2 (fun n s -> Batch (n, s)) (int_range 1 9) bool);
+                (1, return Seal) ])))
+  in
+  let print (bs, ops) =
+    Printf.sprintf "block_size=%d [%s]" bs
+      (String.concat " " (List.map print_block_op ops))
+  in
+  QCheck.Test.make ~name:"receipt block_hash == linear block search" ~count:100
+    (QCheck.make ~print gen) (fun (block_size, ops) ->
+      let ledger = sim_ledger ~block_size "rv-blocks" in
+      let alice, key =
+        Ledger.new_member ledger ~name:"alice" ~role:Roles.Regular_user
+      in
+      let payload = Bytes.of_string "p" in
+      List.iter
+        (function
+          | Append -> ignore (Ledger.append ledger ~member:alice ~priv:key payload)
+          | Batch (n, seal) ->
+              ignore
+                (Ledger.append_batch ~pool:Ledger_par.Domain_pool.sequential
+                   ledger ~member:alice ~priv:key ~seal
+                   (List.init n (fun _ -> (payload, []))))
+          | Seal -> Ledger.seal_block ledger)
+        ops;
+      let blocks = List.rev (Ledger.blocks ledger) in
+      let reference jsn =
+        match
+          List.find_opt
+            (fun (b : Block.t) ->
+              jsn >= b.Block.start_jsn && jsn < b.Block.start_jsn + b.Block.count)
+            blocks
+        with
+        | Some b -> Block.hash b
+        | None -> Hash.zero
+      in
+      let v = Ledger.read_view ledger in
+      List.for_all
+        (fun jsn ->
+          Hash.equal (reference jsn) (Ledger.get_receipt ledger jsn).Receipt.block_hash
+          && Hash.equal (reference jsn) (RV.receipt v jsn).Receipt.block_hash)
+        (List.init (Ledger.size ledger) Fun.id))
+
 let suite =
   [
     tc "differential: every mutation boundary" `Slow
@@ -563,4 +693,8 @@ let suite =
     tc "query pagination: epoch pin and Stale_r" `Quick test_query_pin;
     tc "concurrent readers vs mutating writer" `Slow test_concurrent_readers;
     tc "sharded: golden transcript" `Slow test_sharded_golden;
+    tc "members: shared wire list == sort-and-encode" `Quick test_members_wire;
+    tc "a view does not see later registrations or seals" `Quick
+      test_view_isolation;
+    QCheck_alcotest.to_alcotest prop_receipt_block;
   ]
